@@ -407,7 +407,7 @@ fn emit_baseline() {
     // Sharded mega-sweep bounded-memory profile: peak live heap of a
     // sharded sweep must track the *shard*, not the grid — 10x the
     // cells at a fixed shard size may grow the peak only by allocator
-    // noise plus the (grid/shard-bounded) manifest line vector. The
+    // noise (the append-only manifest holds no per-shard state). The
     // pool threads allocate through the same global counters, so the
     // peak is a true whole-process high watermark.
     let shard_peak = |n_cells: usize, shard_size: usize| {
@@ -507,8 +507,7 @@ fn emit_baseline() {
          (committed BENCH_hotloop.json left untouched)"
     );
     // Sharded sweeps must stay shard-bounded: 10x the grid at a fixed
-    // shard size may not grow the peak live set materially (the only
-    // O(grid/shard) term is the manifest line vector).
+    // shard size may not grow the peak live set materially.
     assert!(
         shard_growth <= 4.0,
         "sharded sweep peak grew {shard_growth:.2}x from 10k to 100k cells \

@@ -70,7 +70,7 @@ resumed vs uninterrupted, at any thread count):
   --cells N        total grid cells before --quick scaling (default 256)
   --shard-size S   cells per shard: the memory bound and checkpoint
                    granularity (default 32)
-  --manifest PATH  shard manifest, atomically rewritten per shard
+  --manifest PATH  shard manifest, one synced line appended per shard
                    (default megasweep.manifest.jsonl)
   --resume         restart from the manifest's last completed shard";
 

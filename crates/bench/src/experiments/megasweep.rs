@@ -28,7 +28,7 @@ pub struct MegasweepArgs {
     pub cells: usize,
     /// Cells per shard — the memory bound and checkpoint granularity.
     pub shard_size: usize,
-    /// Shard-manifest path (atomically rewritten after every shard).
+    /// Shard-manifest path (one synced line appended per shard).
     pub manifest: PathBuf,
     /// Resume from the manifest if it exists.
     pub resume: bool,

@@ -115,7 +115,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// A pool with no threads yet; workers are added by
-    /// [`WorkerPool::ensure_threads`] as sweeps request parallelism.
+    /// [`WorkerPool::resize`] as sweeps request parallelism.
     pub fn new() -> Self {
         WorkerPool { shared: Arc::new(Shared::default()), handles: Mutex::new(Vec::new()) }
     }
@@ -146,13 +146,6 @@ impl WorkerPool {
             }
         }
         *handles = live;
-    }
-
-    /// Grow the pool (if needed) so at least `n` workers exist. Never
-    /// shrinks — see [`WorkerPool::resize`] for the two-way version the
-    /// sweep executor uses.
-    pub fn ensure_threads(&self, n: usize) {
-        self.resize(n.max(self.threads()));
     }
 
     /// Settle the pool at exactly `n` serving workers (floored at 1):

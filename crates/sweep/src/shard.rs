@@ -38,10 +38,18 @@
 //! `cells` is the **cumulative** [`MetricsAggregator::snapshot_words`]
 //! after folding shards `0..=i`, so resume needs only the last line.
 //! `fp` is an FNV-1a chain over the previous line's `fp` and the line's
-//! own fields, so truncation or tampering anywhere breaks the chain.
-//! The file is rewritten atomically (temp file + rename) after every
-//! shard: a `SIGKILL` at any instant leaves either the previous
-//! manifest or the new one, never a torn file.
+//! own fields, so tampering anywhere breaks the chain.
+//!
+//! The file is append-only. A fresh sweep creates it with the header,
+//! `sync_data`s it, and fsyncs the parent directory once so the new
+//! entry survives power loss. Each completed shard then appends its line
+//! in a single `write` followed by `sync_data`, so a checkpoint costs
+//! `O(shard)` I/O, not a rewrite of every earlier line. A kill can only
+//! tear the *final* line, which then lacks its trailing `\n`; resume
+//! treats that shard as never recorded, truncates the file back to the
+//! last newline, and appends from there, so the finished file is byte-
+//! identical to an uninterrupted run's. A complete (newline-terminated)
+//! line that fails validation is still [`ShardError::Corrupt`].
 //!
 //! On resume the header is validated against the live grid
 //! ([`Grid::shape_fingerprint`], shard size, job count, snapshot shape),
@@ -57,6 +65,8 @@ use crate::persistent;
 use crate::progress::{CancelToken, ProgressFn};
 use crate::threads;
 use clamshell_obs::Fnv;
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// Manifest schema version written and accepted by this build.
@@ -68,7 +78,8 @@ pub struct ShardOptions {
     /// Cells per shard (must be ≥ 1). Peak job memory is proportional
     /// to this; the checkpoint granularity equals it.
     pub shard_size: usize,
-    /// Manifest path. Written atomically after every completed shard.
+    /// Manifest path. One line is appended and synced after every
+    /// completed shard.
     pub manifest: PathBuf,
     /// Resume from `manifest` if it exists (a missing file starts a
     /// fresh sweep, since a kill can land before the first checkpoint).
@@ -275,41 +286,117 @@ fn corrupt(path: &Path, line: usize, reason: impl Into<String>) -> ShardError {
     ShardError::Corrupt { path: path.to_path_buf(), line, reason: reason.into() }
 }
 
-/// Atomically replace `path` with the header plus every recorded shard
-/// line. Temp-file-then-rename means a kill at any instant leaves either
-/// the old manifest or the new one, never a torn file.
-fn write_manifest(path: &Path, header: &Header, lines: &[String]) -> Result<(), ShardError> {
-    let mut text = String::with_capacity(128 + lines.iter().map(|l| l.len() + 1).sum::<usize>());
-    text.push_str(&header.render());
-    text.push('\n');
-    for line in lines {
-        text.push_str(line);
-        text.push('\n');
+/// Fsync the directory holding `path`, so a newly created file's
+/// directory entry is as durable as its data. Only Unix can open a
+/// directory as a file; elsewhere this is a no-op.
+fn sync_parent_dir(path: &Path) -> Result<(), ShardError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))?;
     }
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &text).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    Ok(())
 }
 
-/// What a successfully parsed manifest resumes with.
+/// The manifest, open for appending after its last complete line.
+struct Manifest<'a> {
+    file: File,
+    path: &'a Path,
+}
+
+impl<'a> Manifest<'a> {
+    /// Create (or truncate) `path` holding only the header: a fresh
+    /// sweep claims the path at once, so a kill before the first
+    /// checkpoint resumes as "0 shards done" instead of tripping over a
+    /// stale manifest.
+    fn create(path: &'a Path, header: &Header) -> Result<Self, ShardError> {
+        let file = File::create(path).map_err(|e| io_err(path, e))?;
+        let mut manifest = Manifest { file, path };
+        manifest.append(header.render())?;
+        sync_parent_dir(path)?;
+        Ok(manifest)
+    }
+
+    /// Open an existing manifest, validate it against `header`, and cut
+    /// a torn final line back to the last newline. `None` when not even
+    /// the header line was completed.
+    fn resume(path: &'a Path, header: &Header) -> Result<Option<(Self, Resumed)>, ShardError> {
+        let file =
+            OpenOptions::new().read(true).append(true).open(path).map_err(|e| io_err(path, e))?;
+        let Some(resumed) = parse_manifest(&file, path, header)? else {
+            return Ok(None);
+        };
+        let len = file.metadata().map_err(|e| io_err(path, e))?.len();
+        if len > resumed.end {
+            file.set_len(resumed.end)
+                .and_then(|()| file.sync_data())
+                .map_err(|e| io_err(path, e))?;
+        }
+        Ok(Some((Manifest { file, path }, resumed)))
+    }
+
+    /// Append `line` and its newline in a single `write`, then
+    /// `sync_data`: the checkpoint is durable once this returns.
+    fn append(&mut self, mut line: String) -> Result<(), ShardError> {
+        line.push('\n');
+        self.file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| io_err(self.path, e))
+    }
+}
+
+/// What a validated manifest resumes from.
 struct Resumed {
-    /// Recorded shard lines, kept verbatim for the next rewrite.
-    lines: Vec<String>,
+    /// Shard lines recorded.
+    shards: usize,
     /// Fingerprint of the last recorded line (chain seed if none).
     fp: u64,
     /// Cumulative snapshot of the last recorded shard, if any.
     last_cells: Option<Vec<u64>>,
+    /// Byte length of the complete lines; anything after is a torn tail.
+    end: u64,
 }
 
-/// Parse and fully validate an existing manifest against `header`.
-fn parse_manifest(path: &Path, header: &Header) -> Result<Resumed, ShardError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let mut it = text.lines().enumerate();
-    let Some((_, first)) = it.next() else {
-        return Err(corrupt(path, 1, "empty manifest"));
-    };
+/// Read the next line into `buf`. `true` for a complete line (its `\n`
+/// stripped); `false` at end of file or at a torn final line, which is
+/// left in `buf` without a newline.
+fn read_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    path: &Path,
+) -> Result<bool, ShardError> {
+    buf.clear();
+    reader.read_until(b'\n', buf).map_err(|e| io_err(path, e))?;
+    let complete = buf.last() == Some(&b'\n');
+    if complete {
+        buf.pop();
+    }
+    Ok(complete)
+}
+
+/// Parse and fully validate the manifest in `file` against `header`,
+/// one line at a time, keeping only the last checkpoint. `None` when the
+/// header line itself is torn: a fresh sweep was killed while claiming
+/// the path, which only a prefix of this sweep's own header can show.
+fn parse_manifest(
+    file: &File,
+    path: &Path,
+    header: &Header,
+) -> Result<Option<Resumed>, ShardError> {
+    let mut reader = BufReader::new(file);
+    let mut buf = Vec::new();
+    if !read_line(&mut reader, &mut buf, path)? {
+        return if header.render().as_bytes().starts_with(&buf) {
+            Ok(None)
+        } else {
+            Err(corrupt(path, 1, "torn header"))
+        };
+    }
+    let mut end = buf.len() as u64 + 1;
+    let first = std::str::from_utf8(&buf).map_err(|_| corrupt(path, 1, "not UTF-8"))?;
     let version = take_u64(first, "v").ok_or_else(|| corrupt(path, 1, "header missing \"v\""))?;
     if version != MANIFEST_VERSION {
         return Err(ShardError::Incompatible {
@@ -332,20 +419,23 @@ fn parse_manifest(path: &Path, header: &Header) -> Result<Resumed, ShardError> {
     }
 
     let mut fp = header.chain_seed();
-    let mut lines: Vec<String> = Vec::new();
+    let mut shards = 0;
     let mut last_cells: Option<Vec<u64>> = None;
-    for (no, line) in it {
-        let lineno = no + 1;
+    let mut lineno = 1;
+    while read_line(&mut reader, &mut buf, path)? {
+        lineno += 1;
+        end += buf.len() as u64 + 1;
+        let line = std::str::from_utf8(&buf).map_err(|_| corrupt(path, lineno, "not UTF-8"))?;
         if line.is_empty() {
             continue;
         }
         let shard =
             take_u64(line, "shard").ok_or_else(|| corrupt(path, lineno, "missing \"shard\""))?;
-        if shard != lines.len() as u64 {
+        if shard != shards as u64 {
             return Err(corrupt(
                 path,
                 lineno,
-                format!("expected shard {} but found {shard}", lines.len()),
+                format!("expected shard {shards} but found {shard}"),
             ));
         }
         let lo = take_u64(line, "lo").ok_or_else(|| corrupt(path, lineno, "missing \"lo\""))?;
@@ -374,10 +464,10 @@ fn parse_manifest(path: &Path, header: &Header) -> Result<Resumed, ShardError> {
             return Err(corrupt(path, lineno, "fingerprint chain broken"));
         }
         fp = got_fp;
-        lines.push(line.to_string());
+        shards += 1;
         last_cells = Some(cells);
     }
-    Ok(Resumed { lines, fp, last_cells })
+    Ok(Some(Resumed { shards, fp, last_cells, end }))
 }
 
 /// Run `grid` in shards of `opts.shard_size` cells, folding every report
@@ -420,22 +510,21 @@ pub fn run_sharded(
         words: (grid.n_scenarios() * agg.n_metrics() * 3) as u64,
     };
 
-    let mut lines: Vec<String> = Vec::new();
-    let mut fp = header.chain_seed();
-    if opts.resume && opts.manifest.exists() {
-        let resumed = parse_manifest(&opts.manifest, &header)?;
-        if let Some(cells) = &resumed.last_cells {
-            agg.restore_words(cells)?;
-        }
-        lines = resumed.lines;
-        fp = resumed.fp;
+    let resumed = if opts.resume && opts.manifest.exists() {
+        Manifest::resume(&opts.manifest, &header)?
     } else {
-        // Fresh sweep: claim the path immediately (header-only manifest)
-        // so a kill before the first checkpoint resumes as "0 shards
-        // done" instead of tripping over a stale manifest.
-        write_manifest(&opts.manifest, &header, &lines)?;
-    }
-    let resumed_shards = lines.len();
+        None
+    };
+    let (mut manifest, resumed_shards, mut fp) = match resumed {
+        Some((manifest, resumed)) => {
+            if let Some(cells) = &resumed.last_cells {
+                agg.restore_words(cells)?;
+            }
+            (manifest, resumed.shards, resumed.fp)
+        }
+        None => (Manifest::create(&opts.manifest, &header)?, 0, header.chain_seed()),
+    };
+    let mut shards_completed = resumed_shards;
     let threads = threads::resolve(opts.threads);
 
     let mut completed = (resumed_shards * opts.shard_size).min(n_jobs);
@@ -475,15 +564,15 @@ pub fn run_sharded(
         }
         let cells = agg.snapshot_words();
         fp = chain_fp(fp, shard as u64, lo as u64, hi as u64, &cells);
-        lines.push(render_shard_line(shard as u64, lo as u64, hi as u64, &cells, fp));
-        write_manifest(&opts.manifest, &header, &lines)?;
+        manifest.append(render_shard_line(shard as u64, lo as u64, hi as u64, &cells, fp))?;
+        shards_completed += 1;
     }
 
     Ok(ShardOutcome {
         completed,
         total: n_jobs,
         cancelled,
-        shards_completed: lines.len(),
+        shards_completed,
         n_shards,
         resumed_shards,
     })
@@ -731,9 +820,9 @@ mod tests {
 
     #[test]
     fn truncation_to_a_checkpoint_boundary_still_resumes() {
-        // Atomic rewrite means a real kill never tears the file, but a
-        // manifest holding only a prefix of the shards (e.g. restored
-        // from backup) is still a valid chain and resumes cleanly.
+        // A manifest cut at a newline (a kill between two appends, or a
+        // prefix restored from backup) is a valid chain of the shards it
+        // holds, and resuming appends the rest byte for byte.
         let g = grid();
         let reference = reference_words(&g);
         let path = manifest_path("prefix");
@@ -741,8 +830,8 @@ mod tests {
             ShardOptions { shard_size: 2, manifest: path.clone(), resume: false, threads: Some(1) };
         run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None).unwrap();
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let prefix: Vec<&str> = text.lines().take(2).collect(); // header + shard 0
+        let full = std::fs::read_to_string(&path).unwrap();
+        let prefix: Vec<&str> = full.lines().take(2).collect(); // header + shard 0
         std::fs::write(&path, format!("{}\n", prefix.join("\n"))).unwrap();
 
         let resume = ShardOptions { resume: true, ..opts };
@@ -751,6 +840,100 @@ mod tests {
         assert!(out.is_complete());
         assert_eq!(out.resumed_shards, 1);
         assert_eq!(agg.snapshot_words(), reference);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Run `g` to completion at shard size 2 and return the manifest bytes.
+    fn finished_manifest(g: &Grid, path: &Path) -> Vec<u8> {
+        let opts = ShardOptions {
+            shard_size: 2,
+            manifest: path.to_path_buf(),
+            resume: false,
+            threads: Some(1),
+        };
+        let out = run_sharded(g, &mut fresh_agg(g), &opts, &CancelToken::new(), None).unwrap();
+        assert!(out.is_complete());
+        std::fs::read(path).unwrap()
+    }
+
+    /// Write `bytes` as the manifest, resume, and check the fold and the
+    /// finished file against the uninterrupted run.
+    fn resume_from(g: &Grid, path: &Path, bytes: &[u8], full: &[u8], reference: &[u64]) -> usize {
+        std::fs::write(path, bytes).unwrap();
+        let opts = ShardOptions {
+            shard_size: 2,
+            manifest: path.to_path_buf(),
+            resume: true,
+            threads: Some(1),
+        };
+        let mut agg = fresh_agg(g);
+        let out = run_sharded(g, &mut agg, &opts, &CancelToken::new(), None).unwrap();
+        let cut = bytes.len();
+        assert!(out.is_complete(), "cut at byte {cut}: {out:?}");
+        assert_eq!(agg.snapshot_words(), reference, "cut at byte {cut}");
+        assert!(std::fs::read(path).unwrap() == full, "cut at byte {cut}: manifest differs");
+        out.resumed_shards
+    }
+
+    #[test]
+    fn a_torn_final_line_at_any_byte_resumes_to_the_uninterrupted_manifest() {
+        let g = grid();
+        let reference = reference_words(&g);
+        let path = manifest_path("torn_tail");
+        let full = finished_manifest(&g, &path);
+        let n_shards = g.n_jobs().div_ceil(2);
+        let last_start = full[..full.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        for cut in last_start..full.len() {
+            let resumed = resume_from(&g, &path, &full[..cut], &full, &reference);
+            assert_eq!(resumed, n_shards - 1, "cut at byte {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_header_restarts_the_sweep() {
+        // A kill while a fresh sweep claims the path can leave an empty
+        // file or a prefix of the header; resume then starts over.
+        let g = grid();
+        let reference = reference_words(&g);
+        let path = manifest_path("torn_header");
+        let full = finished_manifest(&g, &path);
+        let header_end = full.iter().position(|&b| b == b'\n').unwrap();
+        for cut in 0..=header_end {
+            assert_eq!(resume_from(&g, &path, &full[..cut], &full, &reference), 0);
+        }
+
+        // A torn first line that is not this sweep's header is foreign.
+        std::fs::write(&path, "not a manifest").unwrap();
+        let opts =
+            ShardOptions { shard_size: 2, manifest: path.clone(), resume: true, threads: Some(1) };
+        let err =
+            run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None).unwrap_err();
+        assert!(matches!(err, ShardError::Corrupt { line: 1, .. }), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "not a manifest");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_cut_line_followed_by_a_complete_line_is_corrupt() {
+        // Only the final line can be torn by a kill. A cut line that a
+        // newline-terminated line follows is damage, not a torn tail.
+        let g = grid();
+        let path = manifest_path("mid_tear");
+        let full = String::from_utf8(finished_manifest(&g, &path)).unwrap();
+        let mut lines: Vec<&str> = full.lines().collect();
+        lines[2] = &lines[2][..lines[2].len() / 2];
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+
+        let opts =
+            ShardOptions { shard_size: 2, manifest: path.clone(), resume: true, threads: Some(1) };
+        let err =
+            run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None).unwrap_err();
+        match err {
+            ShardError::Corrupt { line, .. } => assert_eq!(line, 3),
+            other => panic!("expected Corrupt, got {other}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,6 +17,11 @@
 //! the shapes are adversarial: shards that divide the grid evenly,
 //! shards larger than the grid, single-cell shards, kills on and off
 //! checkpoint boundaries.
+//!
+//! Before the resume, the killed manifest's final line is cut at a
+//! sampled byte offset, as a kill in the middle of an append would leave
+//! it. Because the manifest is append-only, the finished file must then
+//! be byte-identical to an uninterrupted run's manifest.
 
 use clamshell_core::task::TaskSpec;
 use clamshell_core::RunConfig;
@@ -63,6 +68,7 @@ proptest! {
         shard_size in 1usize..9,
         kill_raw in 0usize..64,
         threads in 1usize..5,
+        tear_raw in 0usize..4096,
     ) {
         let g = shaped_grid(n_seeds, n_scenarios);
         let kill_after = 1 + kill_raw % g.n_jobs();
@@ -71,19 +77,24 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&path);
 
-        // 1. The unsharded serial reference fold.
+        // 1. The unsharded serial reference fold, and the manifest of an
+        // uninterrupted sharded run.
         let mut reference = fresh_agg(&g);
         let status = g.run_streaming(Some(1), &mut reference);
         prop_assert!(status.is_complete());
         let reference = reference.snapshot_words();
-
-        // 2. Sharded on `threads` workers, killed mid-sweep.
         let opts = ShardOptions {
             shard_size,
             manifest: path.clone(),
             resume: false,
             threads: Some(threads),
         };
+        prop_assert!(run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None)
+            .unwrap()
+            .is_complete());
+        let uninterrupted = std::fs::read(&path).unwrap();
+
+        // 2. Sharded on `threads` workers, killed mid-sweep.
         let cancel = CancelToken::new();
         let cancel_ref = &cancel;
         let mut agg = fresh_agg(&g);
@@ -106,15 +117,30 @@ proptest! {
             prop_assert_eq!(agg.snapshot_words(), reference);
         } else {
             prop_assert!(out.cancelled);
+            // Tear the final line at a sampled offset (a cut at its full
+            // length leaves the file intact). A torn shard line is an
+            // unrecorded shard; a torn header restarts the sweep.
+            let killed = std::fs::read(&path).unwrap();
+            let last_start =
+                killed[..killed.len() - 1].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let cut = last_start + tear_raw % (killed.len() - last_start + 1);
+            std::fs::write(&path, &killed[..cut]).unwrap();
+            let recorded = if cut < killed.len() {
+                out.shards_completed.saturating_sub(1)
+            } else {
+                out.shards_completed
+            };
+
             // 3. A "new process": fresh aggregator, resume from the
             // manifest, finish the sweep.
             let opts = ShardOptions { resume: true, ..opts };
             let mut resumed = fresh_agg(&g);
             let out2 = run_sharded(&g, &mut resumed, &opts, &CancelToken::new(), None).unwrap();
             prop_assert!(out2.is_complete());
-            prop_assert_eq!(out2.resumed_shards, out.shards_completed);
+            prop_assert_eq!(out2.resumed_shards, recorded);
             prop_assert_eq!(resumed.snapshot_words(), reference);
         }
+        prop_assert!(std::fs::read(&path).unwrap() == uninterrupted, "manifest differs");
         let _ = std::fs::remove_file(&path);
     }
 }
