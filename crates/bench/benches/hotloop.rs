@@ -405,11 +405,11 @@ fn emit_baseline() {
     );
 
     // Sharded mega-sweep bounded-memory profile: peak live heap of a
-    // sharded sweep must track the *shard*, not the grid — 10x the
-    // cells at a fixed shard size may grow the peak only by allocator
-    // noise (the append-only manifest holds no per-shard state). The
-    // pool threads allocate through the same global counters, so the
-    // peak is a true whole-process high watermark.
+    // sharded sweep must track its blocks of cells, not the grid — 10x
+    // the cells at a fixed shard size may grow the peak only by
+    // allocator noise (the append-only manifest holds no per-shard
+    // state). The helper threads allocate through the same global
+    // counters, so the peak is a true whole-process high watermark.
     let shard_peak = |n_cells: usize, shard_size: usize| {
         let seeds: Vec<u64> = (1..=(n_cells / 2) as u64).collect();
         let grid = clamshell_sweep::Grid::new(
@@ -448,7 +448,7 @@ fn emit_baseline() {
         peak
     };
     const SHARD: usize = 1024;
-    let _ = shard_peak(200, SHARD); // warm-up: spawn the pool outside the measurement
+    let _ = shard_peak(200, SHARD); // warm-up: fault lazy tables outside the measurement
     let shard_peak_10k = shard_peak(10_000, SHARD);
     let shard_peak_100k = shard_peak(100_000, SHARD);
     let shard_growth = shard_peak_100k as f64 / shard_peak_10k as f64;

@@ -1,9 +1,9 @@
 //! `repro megasweep`: the sharded mega-grid scale-out walkthrough.
 //!
 //! Runs a seed × scenario grid through the sharded executor
-//! ([`run_sharded`]): cells are materialized one bounded shard at a
-//! time, every shard checkpoints the cumulative streaming aggregate to
-//! an FNV-chained manifest, and a killed run restarts at the last
+//! ([`run_sharded`]): cells are materialized and run in small blocks,
+//! every shard checkpoints the cumulative streaming aggregate to an
+//! FNV-chained manifest, and a killed run restarts at the last
 //! completed shard (`--resume`). The final table on stdout is
 //! **bit-identical** whether the sweep ran unsharded, sharded, or was
 //! killed and resumed, at any thread count — CI SIGKILLs a run

@@ -198,15 +198,12 @@ impl Maintainer {
         };
         if s.completed.count() >= 2 {
             // Shift the completed sample by the TermEst correction and run
-            // the one-sided test against PMℓ.
+            // the one-sided test against PMℓ. Shifting the mean leaves the
+            // variance unchanged, so test the unshifted sample against a
+            // threshold shifted the other way.
             let shift = est - s.completed.mean();
-            let mut shifted = s.completed;
-            // OnlineStats is mean/variance; shifting the mean leaves the
-            // variance unchanged, so emulate by testing against a shifted
-            // threshold instead.
             let threshold = cfg.threshold_per_label_secs - shift;
-            shifted.merge(&OnlineStats::new()); // no-op; keeps clone intent clear
-            shifted.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
+            s.completed.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
         } else {
             // No (or single) completed sample: decide on the point
             // estimate alone.

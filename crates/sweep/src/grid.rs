@@ -271,8 +271,8 @@ impl Grid {
     /// slice `jobs()[lo..hi]`, without building the rest of the grid.
     ///
     /// This is the sharded executor's enumeration primitive: a
-    /// million-cell sweep materializes one bounded chunk at a time, so
-    /// peak job memory is `O(shard)` instead of `O(grid)`. Scenario
+    /// million-cell sweep materializes one bounded block at a time, so
+    /// peak job memory is `O(block)` instead of `O(grid)`. Scenario
     /// mutations are applied once per scenario block that intersects the
     /// range, so a chunked enumeration performs the same config work as
     /// the monolithic one.

@@ -105,16 +105,58 @@ where
     ExecStatus { completed: delivered, total, cancelled: cancel.is_cancelled() }
 }
 
+/// A reorder buffer: parks results that arrive ahead of the next index
+/// and hands back the contiguous prefix in increasing index order.
+///
+/// Its consumer must keep receiving while it waits for `next` (the
+/// missing result arrives over the same funnel as the rest), so the
+/// buffer itself is unbounded; callers bound it by how far ahead of
+/// `next` they let work be claimed, or else by job-duration skew.
+pub(crate) struct Reorder<R> {
+    parked: BTreeMap<usize, R>,
+    next: usize,
+}
+
+impl<R> Reorder<R> {
+    /// An empty buffer expecting index 0 first.
+    pub(crate) fn new() -> Self {
+        Reorder { parked: BTreeMap::new(), next: 0 }
+    }
+
+    /// The next index to hand back.
+    pub(crate) fn next(&self) -> usize {
+        self.next
+    }
+
+    /// Park the result for `index`.
+    pub(crate) fn park(&mut self, index: usize, result: R) {
+        self.parked.insert(index, result);
+    }
+
+    /// Take the result for `next`, if it has arrived, and move past it.
+    pub(crate) fn pop(&mut self) -> Option<(usize, R)> {
+        let result = self.parked.remove(&self.next)?;
+        self.next += 1;
+        Some((self.next - 1, result))
+    }
+
+    /// Move past `next` without a parked result: the consumer produced
+    /// and delivered it itself.
+    pub(crate) fn skip(&mut self) {
+        self.next += 1;
+    }
+
+    /// Everything still parked, in increasing index order (cancellation
+    /// can leave holes before it).
+    pub(crate) fn into_parked(self) -> impl Iterator<Item = (usize, R)> {
+        self.parked.into_iter()
+    }
+}
+
 /// The coordinator's receive loop, shared by the scoped executor above
 /// and the persistent-pool executor in [`crate::persistent`]: drain the
-/// result funnel through a reorder buffer so `sink` observes strictly
+/// result funnel through a [`Reorder`] buffer so `sink` observes strictly
 /// increasing job indices, and return how many results were delivered.
-///
-/// The reorder buffer parks out-of-order arrivals and releases the
-/// contiguous prefix. The coordinator must keep receiving while it waits
-/// for `next` (the missing result arrives over the same channel), so
-/// this map — unlike the bounded funnel feeding it — is unbounded; its
-/// size is bounded by job-duration skew, not sweep size.
 pub(crate) fn drain_reorder<R>(
     rx: mpsc::Receiver<(usize, R)>,
     mut progress: Option<ProgressFn<'_>>,
@@ -122,27 +164,24 @@ pub(crate) fn drain_reorder<R>(
     sink: &mut dyn FnMut(usize, R),
 ) -> usize {
     let mut delivered = 0usize;
-    let mut parked: BTreeMap<usize, R> = BTreeMap::new();
-    let mut next = 0usize;
-    while let Ok((index, result)) = rx.recv() {
-        parked.insert(index, result);
-        while let Some(result) = parked.remove(&next) {
-            sink(next, result);
-            next += 1;
-            delivered += 1;
-            if let Some(p) = progress.as_mut() {
-                p(delivered, total);
-            }
-        }
-    }
-    // Cancellation can leave holes; flush what completed beyond them,
-    // still in increasing index order.
-    for (index, result) in parked {
+    let mut deliver = |index: usize, result: R| {
         sink(index, result);
         delivered += 1;
         if let Some(p) = progress.as_mut() {
             p(delivered, total);
         }
+    };
+    let mut reorder = Reorder::new();
+    while let Ok((index, result)) = rx.recv() {
+        reorder.park(index, result);
+        while let Some((index, result)) = reorder.pop() {
+            deliver(index, result);
+        }
+    }
+    // Cancellation can leave holes; flush what completed beyond them,
+    // still in increasing index order.
+    for (index, result) in reorder.into_parked() {
+        deliver(index, result);
     }
     delivered
 }

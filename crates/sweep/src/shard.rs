@@ -3,11 +3,28 @@
 //! A million-cell grid cannot be materialized as one job list — the
 //! specs, configs, and population handles of every cell would sit in
 //! memory for the whole sweep. [`run_sharded`] instead walks the grid in
-//! bounded chunks ([`Grid::jobs_range`]), runs each chunk on the
-//! process-wide [`WorkerPool`](crate::persistent::WorkerPool), and folds
-//! results into one cumulative [`MetricsAggregator`] **in global
-//! job-index order**, so peak live memory is `O(shard)` while the final
-//! statistics are bit-identical to an unsharded (or fully serial) run.
+//! small blocks of at most 64 cells ([`Grid::jobs_range`]), never more
+//! than one shard per block, and folds every report into one cumulative
+//! [`MetricsAggregator`] **in global job-index order**, so peak live
+//! memory is bounded by the threads' blocks, not the grid or the shard,
+//! while the final statistics are bit-identical to an unsharded (or
+//! fully serial) run.
+//!
+//! ## Shards are checkpoint boundaries, not barriers
+//!
+//! Everything after the resumed prefix runs as one pipelined pass. The
+//! calling thread is worker 0: it claims blocks, runs them, folds every
+//! report, and appends and syncs a shard's checkpoint as soon as the
+//! fold crosses that shard's end. `threads - 1` scoped helper threads,
+//! spawned once per sweep, claim blocks from the same cursor and hand
+//! each block's reports back in one message. No thread waits at a shard
+//! boundary, so one thread's checkpoint sync overlaps the others'
+//! simulation; at one thread the sweep is a plain serial loop that folds
+//! each report as it is produced, with no channel and no extra thread.
+//!
+//! No block is claimed `4 × threads` or more blocks past the first one
+//! not yet folded, so at most that many blocks of reports wait to be
+//! folded, whatever the shard size and however the threads interleave.
 //!
 //! ## Why the fold is sequential, not merge-based
 //!
@@ -17,10 +34,10 @@
 //! aggregators merged at the end would therefore drift from the
 //! unsharded reference by a few ULPs — enough to break the workspace's
 //! byte-identity contract. The sharded executor sidesteps this entirely:
-//! shards run in index order, the reorder buffer inside the pool
-//! delivers each shard's reports in index order, and every report is
-//! pushed into the *same* cumulative aggregator. Sharding (and thread
-//! count, and resume) then cannot change a single bit of the result.
+//! a reorder buffer releases finished blocks in index order, and every
+//! report is pushed into the *same* cumulative aggregator on the calling
+//! thread. Sharding (and thread count, and resume) then cannot change a
+//! single bit of the result.
 //!
 //! ## The shard manifest
 //!
@@ -61,13 +78,16 @@
 use crate::aggregate::{Aggregator, MetricsAggregator, SnapshotShapeError};
 use crate::grid::{Grid, GridError};
 use crate::job::Job;
-use crate::persistent;
+use crate::pool::Reorder;
 use crate::progress::{CancelToken, ProgressFn};
 use crate::threads;
+use clamshell_core::metrics::RunReport;
 use clamshell_obs::Fnv;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Manifest schema version written and accepted by this build.
 pub const MANIFEST_VERSION: u64 = 1;
@@ -75,8 +95,9 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// How to run a sharded sweep.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
-    /// Cells per shard (must be ≥ 1). Peak job memory is proportional
-    /// to this; the checkpoint granularity equals it.
+    /// Cells per shard (must be ≥ 1): the checkpoint granularity. Peak
+    /// memory does not grow with it: cells are materialized, run and
+    /// folded in blocks of at most 64, never more than one shard each.
     pub shard_size: usize,
     /// Manifest path. One line is appended and synced after every
     /// completed shard.
@@ -470,6 +491,150 @@ fn parse_manifest(
     Ok(Some(Resumed { shards, fp, last_cells, end }))
 }
 
+/// Most cells in one block: a thread materializes, runs and hands back
+/// at most this many cells at a time, whatever the shard size.
+const MAX_BLOCK: usize = 64;
+
+/// Blocks per thread that may be claimed past the first unfolded one:
+/// the slack that lets helpers run on while the calling thread syncs a
+/// checkpoint, and the bound on reports waiting to be folded.
+const WINDOW_PER_THREAD: usize = 4;
+
+/// How the unrecorded cells `start..n_jobs` split into blocks: each
+/// shard into `per_shard` blocks of at most `block` cells, so no block
+/// crosses a shard boundary. `start` is a shard boundary.
+#[derive(Debug, Clone, Copy)]
+struct Blocks {
+    start: usize,
+    n_jobs: usize,
+    shard_size: usize,
+    block: usize,
+    per_shard: usize,
+}
+
+impl Blocks {
+    fn new(start: usize, n_jobs: usize, shard_size: usize) -> Self {
+        let per_shard = shard_size.div_ceil(MAX_BLOCK);
+        Blocks { start, n_jobs, shard_size, block: shard_size.div_ceil(per_shard), per_shard }
+    }
+
+    fn len(&self) -> usize {
+        let cells = self.n_jobs - self.start;
+        cells / self.shard_size * self.per_shard + (cells % self.shard_size).div_ceil(self.block)
+    }
+
+    /// The cells of block `k`.
+    fn range(&self, k: usize) -> (usize, usize) {
+        let shard_lo = self.start + k / self.per_shard * self.shard_size;
+        let lo = shard_lo + k % self.per_shard * self.block;
+        (lo, (lo + self.block).min(shard_lo + self.shard_size).min(self.n_jobs))
+    }
+}
+
+/// A block's reports, in cell order, keyed by block number.
+type Done = (usize, Vec<RunReport>);
+
+/// The fold frontier (the first block not yet folded) as the helpers see
+/// it: no helper starts a block `window` or more past it.
+struct Gate {
+    state: Mutex<GateState>,
+    moved: Condvar,
+    window: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    frontier: usize,
+    stopped: bool,
+    waiting: usize,
+}
+
+impl Gate {
+    /// Every update under the lock is a single field store, so a guard
+    /// recovered from a poisoned lock is still consistent.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until block `k` is inside the window; `false` if the sweep
+    /// stopped instead.
+    fn admit(&self, k: usize) -> bool {
+        let mut s = self.lock();
+        while k >= s.frontier + self.window && !s.stopped {
+            s.waiting += 1;
+            s = self.moved.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.waiting -= 1;
+        }
+        !s.stopped
+    }
+
+    fn advance(&self, frontier: usize) {
+        let mut s = self.lock();
+        s.frontier = frontier;
+        if s.waiting > 0 {
+            self.moved.notify_all();
+        }
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.moved.notify_all();
+    }
+}
+
+/// Stops the gate when dropped: always for the calling thread, which
+/// only leaves when the sweep ends, and for a helper only when it
+/// panics, so its peers cannot wait on a frontier that will never move.
+struct StopOnDrop<'a> {
+    gate: &'a Gate,
+    always: bool,
+}
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        if self.always || std::thread::panicking() {
+            self.gate.stop();
+        }
+    }
+}
+
+/// The calling thread's fold: every report into the one cumulative
+/// aggregator in global job-index order, with a checkpoint appended as
+/// soon as the fold crosses a shard's end.
+struct Fold<'a, 'p> {
+    grid: &'a Grid,
+    agg: &'a mut MetricsAggregator,
+    manifest: Manifest<'a>,
+    progress: Option<ProgressFn<'p>>,
+    shard_size: usize,
+    n_jobs: usize,
+    /// Cells folded, so also the index of the next cell to fold.
+    done: usize,
+    /// Shard lines in the manifest.
+    shards: usize,
+    /// Fingerprint of the last shard line.
+    fp: u64,
+}
+
+impl Fold<'_, '_> {
+    fn push(&mut self, report: &RunReport) -> Result<(), ShardError> {
+        self.agg.consume(&self.grid.meta(self.done), report);
+        self.done += 1;
+        if self.done.is_multiple_of(self.shard_size) || self.done == self.n_jobs {
+            let (shard, lo, hi) =
+                (self.shards as u64, (self.shards * self.shard_size) as u64, self.done as u64);
+            let cells = self.agg.snapshot_words();
+            self.fp = chain_fp(self.fp, shard, lo, hi, &cells);
+            self.manifest.append(render_shard_line(shard, lo, hi, &cells, self.fp))?;
+            self.shards += 1;
+        }
+        if let Some(p) = self.progress.as_mut() {
+            p(self.done, self.n_jobs);
+        }
+        Ok(())
+    }
+}
+
 /// Run `grid` in shards of `opts.shard_size` cells, folding every report
 /// into `agg` in global job-index order and checkpointing the cumulative
 /// aggregate to `opts.manifest` after each shard.
@@ -481,15 +646,18 @@ fn parse_manifest(
 /// thread count, or kill/resume split; the module docs explain why the
 /// fold is sequential rather than merge-based.
 ///
-/// On cancellation the shard in flight is not recorded: `agg` may hold
-/// partial folds past the last checkpoint, and a subsequent resume
-/// restores from the manifest so nothing is double-counted.
+/// `progress` is called as `(folded, n_jobs)` after every cell, on the
+/// calling thread, once any checkpoint that cell completes is durable.
+/// A cancellation stops the fold at once: `completed` counts the folds,
+/// and `shards_completed` the shard lines on disk. `agg` may hold folds
+/// past the last checkpoint; a resume restores from the manifest, so
+/// nothing is double-counted.
 pub fn run_sharded(
     grid: &Grid,
     agg: &mut MetricsAggregator,
     opts: &ShardOptions,
     cancel: &CancelToken,
-    mut progress: Option<ProgressFn<'_>>,
+    progress: Option<ProgressFn<'_>>,
 ) -> Result<ShardOutcome, ShardError> {
     grid.validate()?;
     if opts.shard_size == 0 {
@@ -515,7 +683,7 @@ pub fn run_sharded(
     } else {
         None
     };
-    let (mut manifest, resumed_shards, mut fp) = match resumed {
+    let (manifest, resumed_shards, fp) = match resumed {
         Some((manifest, resumed)) => {
             if let Some(cells) = &resumed.last_cells {
                 agg.restore_words(cells)?;
@@ -524,57 +692,168 @@ pub fn run_sharded(
         }
         None => (Manifest::create(&opts.manifest, &header)?, 0, header.chain_seed()),
     };
-    let mut shards_completed = resumed_shards;
-    let threads = threads::resolve(opts.threads);
-
-    let mut completed = (resumed_shards * opts.shard_size).min(n_jobs);
-    let mut cancelled = false;
-    for shard in resumed_shards..n_shards {
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let lo = shard * opts.shard_size;
-        let hi = (lo + opts.shard_size).min(n_jobs);
-        let status = {
-            // Re-home the per-shard progress callback to global job
-            // counts so callers see one monotone (done, n_jobs) stream.
-            let mut wrapped;
-            let shard_progress: Option<ProgressFn<'_>> = match progress.as_mut() {
-                Some(p) => {
-                    wrapped = |done: usize, _total: usize| p(lo + done, n_jobs);
-                    Some(&mut wrapped)
-                }
-                None => None,
-            };
-            persistent::execute_streaming_pooled(
-                persistent::WorkerPool::global(),
-                grid.jobs_range(lo, hi),
-                threads,
-                cancel,
-                shard_progress,
-                |_, _, job: Job| job.run(),
-                &mut |local, report| agg.consume(&grid.meta(lo + local), &report),
-            )
-        };
-        completed = lo + status.completed;
-        if status.cancelled || status.completed < hi - lo {
-            cancelled = true;
-            break;
-        }
-        let cells = agg.snapshot_words();
-        fp = chain_fp(fp, shard as u64, lo as u64, hi as u64, &cells);
-        manifest.append(render_shard_line(shard as u64, lo as u64, hi as u64, &cells, fp))?;
-        shards_completed += 1;
-    }
+    let start = (resumed_shards * opts.shard_size).min(n_jobs);
+    let mut fold = Fold {
+        grid,
+        agg,
+        manifest,
+        progress,
+        shard_size: opts.shard_size,
+        n_jobs,
+        done: start,
+        shards: resumed_shards,
+        fp,
+    };
+    let blocks = Blocks::new(start, n_jobs, opts.shard_size);
+    pipeline(grid, blocks, threads::resolve(opts.threads), cancel, &mut fold)?;
 
     Ok(ShardOutcome {
-        completed,
+        completed: fold.done,
         total: n_jobs,
-        cancelled,
-        shards_completed,
+        cancelled: fold.done < n_jobs,
+        shards_completed: fold.shards,
         n_shards,
         resumed_shards,
+    })
+}
+
+/// What the calling thread and the helpers share: the blocks to run and
+/// the cursor they are claimed from, in increasing order. The cursor is
+/// `Relaxed`: a claim only names a block, and reports travel over the
+/// channel, which orders them.
+struct Work<'a> {
+    grid: &'a Grid,
+    blocks: Blocks,
+    n_blocks: usize,
+    cursor: AtomicUsize,
+    gate: Gate,
+    cancel: &'a CancelToken,
+}
+
+impl Work<'_> {
+    /// Claim the next block, if any is left.
+    fn claim(&self) -> Option<usize> {
+        Some(self.cursor.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < self.n_blocks)
+    }
+
+    /// Materialize block `k`'s cells.
+    fn jobs(&self, k: usize) -> Vec<Job> {
+        let (lo, hi) = self.blocks.range(k);
+        self.grid.jobs_range(lo, hi)
+    }
+
+    /// A helper's loop: claim, wait for the window, run, hand back.
+    fn help(&self, tx: mpsc::SyncSender<Done>) {
+        let _stop = StopOnDrop { gate: &self.gate, always: false };
+        while !self.cancel.is_cancelled() {
+            let Some(k) = self.claim() else { break };
+            if !self.gate.admit(k) {
+                break;
+            }
+            let reports = self.jobs(k).iter().map(Job::run).collect();
+            // A send fails only once the calling thread has left the fold.
+            if tx.send((k, reports)).is_err() {
+                break;
+            }
+        }
+    }
+
+    /// The calling thread's loop: fold whatever blocks are ready, then
+    /// claim and run a block itself (folding it as it goes when it is the
+    /// next one to fold), or wait for a helper's block when none may be
+    /// claimed.
+    fn lead(
+        &self,
+        fold: &mut Fold<'_, '_>,
+        rx: Option<&mpsc::Receiver<Done>>,
+    ) -> Result<(), ShardError> {
+        let mut reorder = Reorder::new();
+        loop {
+            while let Some(Ok((k, reports))) = rx.map(mpsc::Receiver::try_recv) {
+                reorder.park(k, reports);
+            }
+            while let Some((_, reports)) = reorder.pop() {
+                for report in &reports {
+                    fold.push(report)?;
+                    if self.cancel.is_cancelled() {
+                        return Ok(());
+                    }
+                }
+                self.gate.advance(reorder.next());
+            }
+            let next = reorder.next();
+            if next == self.n_blocks || self.cancel.is_cancelled() {
+                return Ok(());
+            }
+            let in_window = self.cursor.load(Ordering::Relaxed) < next + self.gate.window;
+            let claimed = if in_window { self.claim() } else { None };
+            if let Some(k) = claimed {
+                let jobs = self.jobs(k);
+                if k == next {
+                    for job in &jobs {
+                        fold.push(&job.run())?;
+                        if self.cancel.is_cancelled() {
+                            return Ok(());
+                        }
+                    }
+                    reorder.skip();
+                    self.gate.advance(reorder.next());
+                } else {
+                    reorder.park(k, jobs.iter().map(Job::run).collect());
+                }
+                continue;
+            }
+            // The next block is a helper's: wait for any helper's block.
+            // An error means every helper has left, which only a
+            // cancellation or a panic (re-raised when the scope joins)
+            // can cause.
+            match rx.map(mpsc::Receiver::recv) {
+                Some(Ok((k, reports))) => reorder.park(k, reports),
+                _ => return Ok(()),
+            }
+        }
+    }
+}
+
+/// Run `blocks` on the calling thread plus `threads - 1` scoped helpers,
+/// and fold every report in order on the calling thread. One thread runs
+/// a plain serial loop.
+fn pipeline(
+    grid: &Grid,
+    blocks: Blocks,
+    threads: usize,
+    cancel: &CancelToken,
+    fold: &mut Fold<'_, '_>,
+) -> Result<(), ShardError> {
+    let n_blocks = blocks.len();
+    let work = Work {
+        grid,
+        blocks,
+        n_blocks,
+        cursor: AtomicUsize::new(0),
+        gate: Gate {
+            state: Mutex::default(),
+            moved: Condvar::new(),
+            window: threads * WINDOW_PER_THREAD,
+        },
+        cancel,
+    };
+    let work = &work;
+    let helpers = threads.min(n_blocks).saturating_sub(1);
+    std::thread::scope(|scope| {
+        let rx = (helpers > 0).then(|| {
+            // Every unread block lies inside the window, so a send never
+            // blocks: a helper stops only at the gate, not while the
+            // calling thread syncs a checkpoint.
+            let (tx, rx) = mpsc::sync_channel(work.gate.window);
+            for _ in 0..helpers {
+                let tx = tx.clone();
+                scope.spawn(move || work.help(tx));
+            }
+            rx
+        });
+        let _stop = StopOnDrop { gate: &work.gate, always: true };
+        work.lead(fold, rx.as_ref())
     })
 }
 
@@ -615,12 +894,43 @@ mod tests {
         agg.snapshot_words()
     }
 
+    /// Cells folded into `agg`, summed over its scenario rows.
+    fn folds(agg: &MetricsAggregator) -> usize {
+        let metric = agg.metrics()[0].name;
+        (0..agg.n_scenarios()).map(|s| agg.stats(s, metric).count() as usize).sum()
+    }
+
+    /// Newline-terminated shard lines in the manifest at `path`.
+    fn shard_lines(path: &Path) -> usize {
+        let bytes = std::fs::read(path).unwrap();
+        bytes.iter().filter(|&&b| b == b'\n').count().saturating_sub(1)
+    }
+
+    #[test]
+    fn blocks_tile_each_shard_without_crossing_it() {
+        for (start, n_jobs, shard_size) in
+            [(0, 6, 2), (0, 6, 4), (4, 6, 4), (0, 1000, 100), (200, 1000, 100), (0, 70_000, 16_384)]
+        {
+            let blocks = Blocks::new(start, n_jobs, shard_size);
+            let mut cell = start;
+            for k in 0..blocks.len() {
+                let (lo, hi) = blocks.range(k);
+                assert_eq!(lo, cell, "{blocks:?} block {k}");
+                assert!(lo < hi && hi - lo <= MAX_BLOCK, "{blocks:?} block {k}: {lo}..{hi}");
+                assert_eq!(lo / shard_size, (hi - 1) / shard_size, "{blocks:?} block {k}");
+                cell = hi;
+            }
+            assert_eq!(cell, n_jobs, "{blocks:?}");
+        }
+    }
+
     #[test]
     fn sharded_matches_unsharded_bit_for_bit() {
         let g = grid();
         let reference = reference_words(&g);
         for shard_size in [1, 2, 4, 64] {
-            for threads in [1, 4] {
+            let mut first_manifest: Option<Vec<u8>> = None;
+            for threads in [1, 2, 4] {
                 let path = manifest_path(&format!("exact_{shard_size}_{threads}"));
                 let opts = ShardOptions {
                     shard_size,
@@ -638,6 +948,12 @@ mod tests {
                     agg.snapshot_words(),
                     reference,
                     "shard_size {shard_size}, {threads} threads"
+                );
+                let manifest = std::fs::read(&path).unwrap();
+                let first = first_manifest.get_or_insert_with(|| manifest.clone());
+                assert!(
+                    *first == manifest,
+                    "shard_size {shard_size}: the manifest at {threads} threads differs from 1 thread's"
                 );
                 let _ = std::fs::remove_file(&path);
             }
@@ -670,46 +986,82 @@ mod tests {
     fn kill_and_resume_is_bit_identical() {
         let g = grid();
         let reference = reference_words(&g);
-        // Cancel after every possible number of delivered jobs; each
-        // interrupted sweep must resume to the exact reference bits.
-        for kill_after in 1..=g.n_jobs() {
-            let path = manifest_path(&format!("resume_{kill_after}"));
+        // Cancel after every possible number of delivered jobs, at shard
+        // sizes that do and do not divide the grid; each interrupted
+        // sweep must leave exactly its folds counted and its checkpoints
+        // on disk, and resume to the exact reference bits.
+        for threads in [1, 2, 4] {
+            for shard_size in [2, 4] {
+                for kill_after in 1..=g.n_jobs() {
+                    let case = format!("t={threads} s={shard_size} kill@{kill_after}");
+                    let path =
+                        manifest_path(&format!("resume_{threads}_{shard_size}_{kill_after}"));
+                    let opts = ShardOptions {
+                        shard_size,
+                        manifest: path.clone(),
+                        resume: false,
+                        threads: Some(threads),
+                    };
+                    let cancel = CancelToken::new();
+                    let cancel_ref = &cancel;
+                    let mut agg = fresh_agg(&g);
+                    let out = run_sharded(
+                        &g,
+                        &mut agg,
+                        &opts,
+                        &cancel,
+                        Some(&mut |done, _| {
+                            if done == kill_after {
+                                cancel_ref.cancel();
+                            }
+                        }),
+                    )
+                    .unwrap();
+                    assert_eq!(out.completed, folds(&agg), "{case}: {out:?}");
+                    assert_eq!(out.shards_completed, shard_lines(&path), "{case}: {out:?}");
+                    if out.is_complete() {
+                        // Cancel landed after the last delivery; nothing
+                        // to resume.
+                        assert_eq!(agg.snapshot_words(), reference, "{case}");
+                        let _ = std::fs::remove_file(&path);
+                        continue;
+                    }
+                    assert!(out.cancelled, "{case}");
+                    assert_eq!(out.completed, kill_after, "{case}");
+
+                    // Second process: fresh aggregator, resume from the
+                    // manifest.
+                    let opts = ShardOptions { resume: true, ..opts };
+                    let mut resumed = fresh_agg(&g);
+                    let out2 =
+                        run_sharded(&g, &mut resumed, &opts, &CancelToken::new(), None).unwrap();
+                    assert!(out2.is_complete(), "{case}: {out2:?}");
+                    assert_eq!(out2.resumed_shards, out.shards_completed, "{case}");
+                    assert_eq!(resumed.snapshot_words(), reference, "{case}");
+                    let _ = std::fs::remove_file(&path);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_propagates_at_every_width() {
+        // Whichever thread runs the bad cell, its peers must not wait on
+        // a frontier that will never move: the panic reaches the caller.
+        let g = grid().scenario("boom", |_| panic!("bad cell"));
+        for threads in [1, 2, 4] {
+            let path = manifest_path(&format!("panic_{threads}"));
             let opts = ShardOptions {
-                shard_size: 2,
+                shard_size: 1,
                 manifest: path.clone(),
                 resume: false,
-                threads: Some(2),
+                threads: Some(threads),
             };
-            let cancel = CancelToken::new();
-            let cancel_ref = &cancel;
             let mut agg = fresh_agg(&g);
-            let out = run_sharded(
-                &g,
-                &mut agg,
-                &opts,
-                &cancel,
-                Some(&mut |done, _| {
-                    if done == kill_after {
-                        cancel_ref.cancel();
-                    }
-                }),
-            )
-            .unwrap();
-            if out.is_complete() {
-                // Cancel landed after the last delivery; nothing to resume.
-                assert_eq!(agg.snapshot_words(), reference);
-                let _ = std::fs::remove_file(&path);
-                continue;
-            }
-            assert!(out.cancelled);
-
-            // Second process: fresh aggregator, resume from the manifest.
-            let opts = ShardOptions { resume: true, ..opts };
-            let mut resumed = fresh_agg(&g);
-            let out2 = run_sharded(&g, &mut resumed, &opts, &CancelToken::new(), None).unwrap();
-            assert!(out2.is_complete(), "kill@{kill_after}: {out2:?}");
-            assert_eq!(out2.resumed_shards, out.shards_completed, "kill@{kill_after}");
-            assert_eq!(resumed.snapshot_words(), reference, "kill@{kill_after}");
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_sharded(&g, &mut agg, &opts, &CancelToken::new(), None)
+            }));
+            assert!(run.is_err(), "{threads} threads");
             let _ = std::fs::remove_file(&path);
         }
     }
