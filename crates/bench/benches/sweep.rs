@@ -1,9 +1,9 @@
-//! Sweep-engine throughput: the serial per-seed loop vs the
-//! work-stealing engine at increasing thread counts, over a
-//! representative Monte-Carlo seed sweep (one full CLAMShell batch run
-//! per seed). On a 4-core runner the 4-thread row should show ≥ 2× the
-//! serial throughput; the `threads1` row measures the engine's own
-//! overhead (it should track `serial` closely).
+//! Sweep-engine throughput: the serial per-seed loop vs the sweep engine
+//! (the calling thread plus scoped helpers) at increasing thread counts,
+//! over a representative Monte-Carlo seed sweep (one full CLAMShell
+//! batch run per seed). On a 4-core runner the 4-thread row should show
+//! ≥ 2× the serial throughput; the `threads1` row runs every cell on the
+//! calling thread, so it should track `serial` closely.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -52,7 +52,7 @@ fn bench_engine(c: &mut Criterion) {
             b.iter(|| {
                 let grid = Grid::new(base_cfg(), Population::mturk_live(), specs(N_TASKS, 5), 15)
                     .seeds(&SEEDS);
-                black_box(grid.run_all(Some(threads)))
+                black_box(grid.try_run_all(Some(threads)).expect("seed-only grid is valid"))
             })
         });
     }

@@ -3,8 +3,8 @@
 //! ```text
 //! repro --list                 # show all experiments
 //! repro fig9 fig10             # run specific experiments
-//! repro --all                  # run everything (used to fill EXPERIMENTS.md)
-//! repro --all --quick          # smaller workloads, single seed
+//! repro --all                  # run everything
+//! repro --all --quick          # smaller workloads, single seed (EXPERIMENTS.md)
 //! repro fig9 --seeds 5         # average over 5 seeds
 //! repro --all --threads 4      # sweep-engine worker threads
 //! repro --scenario churn       # one adversity scenario vs benign

@@ -50,7 +50,7 @@ pub fn fig12(opts: &Opts) {
     let pop = Population::mturk_live();
     let specs = binary_specs(opts.n(300), 5);
     let (grid, names) = sm_pm_grid(&pop, specs, &opts.seeds);
-    let grouped = grid.run_grouped(opts.threads);
+    let grouped = grid.run_grouped(opts.threads).expect("SM/PM cell labels are unique");
     println!("  config       total-lat   batch-std    cost      vs-baseline");
     let mut baseline = None;
     for (name, reports) in names.iter().zip(&grouped) {
@@ -81,7 +81,7 @@ pub fn fig13(opts: &Opts) {
     let pop = Population::mturk_live();
     let specs = binary_specs(opts.n(150), 5);
     let (grid, names) = sm_pm_grid(&pop, specs, &[opts.seeds[0]]);
-    let grouped = grid.run_grouped(opts.threads);
+    let grouped = grid.run_grouped(opts.threads).expect("SM/PM cell labels are unique");
     println!("  config       assignments  terminated  stragglers(>2x median)  max-span");
     for (name, reports) in names.iter().zip(&grouped) {
         let r = &reports[0];
@@ -131,7 +131,8 @@ pub fn fig14(opts: &Opts) {
     }
     println!("  config               replaced-per-batch");
     let mut rates = Vec::new();
-    for ((_, _, name), reports) in cells.iter().zip(grid.run_grouped(opts.threads)) {
+    let grouped = grid.run_grouped(opts.threads).expect("TermEst cell labels are unique");
+    for ((_, _, name), reports) in cells.iter().zip(grouped) {
         let rate = mean_of(&reports, |r| r.workers_evicted as f64 / r.batches.len().max(1) as f64);
         println!("  {name:<20} {rate:>17.2}");
         rates.push(rate);

@@ -45,7 +45,8 @@ fn complexity_sweep(
             15,
         );
     }
-    let mut grouped = grid.run_grouped(opts.threads).into_iter();
+    let mut grouped =
+        grid.run_grouped(opts.threads).expect("complexity labels are unique").into_iter();
     COMPLEXITIES
         .iter()
         .map(|&(_, name)| {

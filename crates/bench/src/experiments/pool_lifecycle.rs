@@ -91,7 +91,7 @@ pub fn pool_lifecycle(opts: &Opts) {
     }
     // Rows are (scenario, variant) cells: scenario-major, variant-mid,
     // seeds within each cell.
-    let grouped = grid.run_grouped(opts.threads);
+    let grouped = grid.run_grouped(opts.threads).expect("catalog and variant labels are unique");
 
     row(&[
         "scenario".into(),

@@ -41,7 +41,8 @@ fn sm_ratio_sweep(
         );
         grid = grid.scenario_with(format!("R{r}/NoSM"), |c| c.straggler = None, specs, batch);
     }
-    let mut grouped = grid.run_grouped(opts.threads).into_iter();
+    let mut grouped =
+        grid.run_grouped(opts.threads).expect("redundancy labels are unique").into_iter();
     RATIOS
         .iter()
         .zip(batches)

@@ -54,8 +54,8 @@ pub fn digit_specs(n_tasks: usize, ng: usize) -> Vec<TaskSpec> {
 ///
 /// Serial-compat shim over the sweep engine: the signature predates
 /// `clamshell-sweep` and is kept for callers that sweep a single
-/// config, but the work now fans across the engine's work-stealing
-/// pool (thread count from `CLAMSHELL_THREADS`, else available
+/// config, but the work now fans across the sweep engine's threads
+/// (thread count from `CLAMSHELL_THREADS`, else available
 /// parallelism). Reports are merged in seed order, so output is
 /// byte-identical to the old serial loop at any thread count.
 pub fn run_seeds(
@@ -67,7 +67,8 @@ pub fn run_seeds(
 ) -> Vec<RunReport> {
     Grid::new(base.clone(), population.clone(), specs.to_vec(), batch_size)
         .seeds(seeds)
-        .run_all(None)
+        .try_run_all(None)
+        .expect("a scenario-free grid is valid whenever its seed axis is non-empty")
 }
 
 /// [`run_seeds`] with the seed axis *and* thread count taken from
@@ -82,7 +83,8 @@ pub fn run_seeds_opts(
 ) -> Vec<RunReport> {
     Grid::new(base.clone(), population.clone(), specs.to_vec(), batch_size)
         .seeds(&opts.seeds)
-        .run_all(opts.threads)
+        .try_run_all(opts.threads)
+        .expect("a scenario-free grid is valid whenever its seed axis is non-empty")
 }
 
 /// A labeled config mutation, as accepted by [`run_scenarios`].
@@ -107,7 +109,7 @@ pub fn run_scenarios(
     for (label, mutate) in scenarios {
         grid = grid.scenario(label, mutate);
     }
-    grid.run_grouped(opts.threads)
+    grid.run_grouped(opts.threads).expect("experiment scenario labels are unique")
 }
 
 /// Mean of a per-report metric.

@@ -25,8 +25,7 @@ use crate::recorder::{TraceEvent, TraceKind};
 /// Bump on any change to line shape or field order.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// 64-bit FNV-1a, same constants as the report fingerprints in
-/// `clamshell-scenarios`.
+/// 64-bit FNV-1a.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 

@@ -9,6 +9,7 @@
 //! leaves every aggregate untouched, flips the fingerprint.
 
 use clamshell_core::metrics::RunReport;
+use clamshell_obs::Fnv;
 use serde::{Deserialize, Serialize};
 
 /// Scalar digest of one `(scenario, seed)` run.
@@ -44,54 +45,36 @@ pub struct CompactReport {
     pub fingerprint: u64,
 }
 
-/// Incremental FNV-1a over `u64` words (each hashed little-endian).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
 impl CompactReport {
     /// Digest `report` for `(scenario, seed)`.
     pub fn of(scenario: &str, seed: u64, report: &RunReport) -> Self {
         let mut h = Fnv::new();
+        // Every field is hashed as a little-endian `u64` word.
+        let mut word = |w: u64| h.write(&w.to_le_bytes());
         for t in &report.tasks {
-            h.word(t.task as u64);
-            h.word(t.batch as u64);
-            h.word(t.ng as u64);
-            h.word(t.created.as_millis());
-            h.word(t.completed.as_millis());
-            h.word(t.winner.0 as u64);
-            h.word(t.winner_span.as_millis());
-            h.word(t.winner_age as u64);
-            h.word(t.correct as u64);
+            word(t.task as u64);
+            word(t.batch as u64);
+            word(t.ng as u64);
+            word(t.created.as_millis());
+            word(t.completed.as_millis());
+            word(t.winner.0 as u64);
+            word(t.winner_span.as_millis());
+            word(t.winner_age as u64);
+            word(t.correct as u64);
         }
         for a in &report.assignments {
-            h.word(a.task as u64);
-            h.word(a.worker.0 as u64);
-            h.word(a.start.as_millis());
-            h.word(a.end.as_millis());
-            h.word(a.terminated as u64);
+            word(a.task as u64);
+            word(a.worker.0 as u64);
+            word(a.start.as_millis());
+            word(a.end.as_millis());
+            word(a.terminated as u64);
         }
         for b in &report.batches {
-            h.word(b.index as u64);
-            h.word(b.start.as_millis());
-            h.word(b.end.as_millis());
-            h.word(b.tasks as u64);
-            h.word(b.evicted as u64);
+            word(b.index as u64);
+            word(b.start.as_millis());
+            word(b.end.as_millis());
+            word(b.tasks as u64);
+            word(b.evicted as u64);
         }
         CompactReport {
             scenario: scenario.to_string(),
@@ -107,7 +90,7 @@ impl CompactReport {
             workers_departed: report.workers_departed,
             assignments: report.assignments.len(),
             terminated: report.assignments.iter().filter(|a| a.terminated).count(),
-            fingerprint: h.0,
+            fingerprint: h.finish(),
         }
     }
 }

@@ -317,7 +317,7 @@ mod tests {
         assert!(status.is_complete());
 
         // Serial reference fold over the same reports.
-        let reports = g.run_all(Some(1));
+        let reports = g.try_run_all(Some(1)).expect("test grid is valid");
         let mut reference = MetricsAggregator::new(g.n_scenarios(), Metric::standard());
         for (i, r) in reports.iter().enumerate() {
             reference.consume(&g.meta(i), r);
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn merge_of_partials_equals_whole() {
         let g = grid();
-        let reports = g.run_all(Some(1));
+        let reports = g.try_run_all(Some(1)).expect("test grid is valid");
         let metas: Vec<_> = (0..g.n_jobs()).map(|i| g.meta(i)).collect();
 
         let mut whole = MetricsAggregator::new(g.n_scenarios(), Metric::standard());
@@ -478,7 +478,7 @@ mod tests {
         let status = g.run_streaming(Some(4), &mut agg);
         assert!(status.is_complete());
 
-        let reports = g.run_all(Some(1));
+        let reports = g.try_run_all(Some(1)).expect("test grid is valid");
         let mut reference = ObsAggregator::new(g.n_scenarios());
         for (i, r) in reports.iter().enumerate() {
             reference.consume(&g.meta(i), r);
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn obs_merge_of_partials_equals_whole() {
         let g = obs_grid();
-        let reports = g.run_all(Some(1));
+        let reports = g.try_run_all(Some(1)).expect("test grid is valid");
         let mut whole = ObsAggregator::new(g.n_scenarios());
         let mut left = ObsAggregator::new(g.n_scenarios());
         let mut right = ObsAggregator::new(g.n_scenarios());

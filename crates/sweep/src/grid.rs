@@ -1,10 +1,15 @@
 //! The [`Grid`] builder: scenario axes × seeds → an indexed job list.
+//!
+//! A grid runs three ways, all on [`pool::execute_streaming`] and all in
+//! job-index order: [`Grid::try_run_all`] collects every report,
+//! [`Grid::run_grouped`] collects them per (scenario, variant) row, and
+//! [`Grid::run_streaming`] folds them into an [`Aggregator`] without
+//! buffering. Checkpointed, resumable sweeps go through
+//! [`run_sharded`](crate::shard::run_sharded) instead.
 
 use crate::aggregate::Aggregator;
 use crate::job::Job;
-use crate::persistent;
-use crate::pool::ExecStatus;
-use crate::progress::{CancelToken, ProgressFn};
+use crate::pool::{self, ExecStatus};
 use crate::threads;
 use clamshell_core::metrics::RunReport;
 use clamshell_core::task::TaskSpec;
@@ -146,8 +151,8 @@ impl Grid {
 
     /// Set the seed axis (replaces the default single seed). An empty
     /// axis is accepted here and reported as
-    /// [`GridError::EmptySeedAxis`] by [`Grid::validate`] / the `try_*`
-    /// entry points.
+    /// [`GridError::EmptySeedAxis`] by [`Grid::validate`] and every run
+    /// entry point.
     pub fn seeds(mut self, seeds: &[u64]) -> Self {
         self.seeds = seeds.to_vec();
         self
@@ -365,105 +370,45 @@ impl Grid {
         h.finish()
     }
 
-    /// Run the whole grid, collecting reports in enumeration order.
-    /// `threads = None` resolves via [`threads::resolve`]
-    /// (`CLAMSHELL_THREADS`, else available parallelism). Skipped cells
-    /// (after cancellation) are `None`.
+    /// Run the whole grid, collecting reports in enumeration order, or
+    /// fail fast with a [`GridError`] on a structurally invalid grid
+    /// before any cell runs. `threads = None` resolves via
+    /// [`threads::resolve`] (`CLAMSHELL_THREADS`, else available
+    /// parallelism).
     ///
-    /// Grid sweeps execute on the process-wide persistent
-    /// [`WorkerPool`](crate::persistent::WorkerPool) — threads spawned by
-    /// the first sweep are parked and reused by every later one — and
-    /// the merge still happens in job-index order, so reports are
-    /// byte-identical to a scoped (or serial) run at any thread count.
-    pub fn run(
-        &self,
-        threads: Option<usize>,
-        cancel: &CancelToken,
-    ) -> (Vec<Option<RunReport>>, ExecStatus) {
-        self.try_run(threads, cancel).unwrap_or_else(|e| panic!("invalid grid: {e}"))
-    }
-
-    /// [`Self::run`], failing fast with a [`GridError`] on a structurally
-    /// invalid grid instead of panicking.
-    pub fn try_run(
-        &self,
-        threads: Option<usize>,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<Option<RunReport>>, ExecStatus), GridError> {
-        self.validate()?;
-        let mut out: Vec<Option<RunReport>> = Vec::with_capacity(self.n_jobs());
-        out.resize_with(self.n_jobs(), || None);
-        let status = persistent::execute_streaming_pooled(
-            persistent::WorkerPool::global(),
-            self.jobs(),
-            threads::resolve(threads),
-            cancel,
-            None,
-            |_, _, job: Job| job.run(),
-            &mut |i, r| out[i] = Some(r),
-        );
-        Ok((out, status))
-    }
-
-    /// Run the whole grid with no cancellation and unwrap the reports
-    /// (enumeration order).
-    pub fn run_all(&self, threads: Option<usize>) -> Vec<RunReport> {
-        self.try_run_all(threads).unwrap_or_else(|e| panic!("invalid grid: {e}"))
-    }
-
-    /// [`Self::run_all`], failing fast with a [`GridError`] on a
-    /// structurally invalid grid instead of panicking.
+    /// Cells run on [`pool::execute_streaming`], with the calling thread
+    /// as worker 0, and results merge in job-index order, so reports are
+    /// byte-identical to a serial run at any thread count.
     pub fn try_run_all(&self, threads: Option<usize>) -> Result<Vec<RunReport>, GridError> {
-        let (reports, status) = self.try_run(threads, &CancelToken::new())?;
-        debug_assert!(status.is_complete());
-        // clamshell-lint: allow(D006) -- a fresh CancelToken is never cancelled, so every slot is Some
-        Ok(reports.into_iter().map(|r| r.expect("uncancelled sweep completes")).collect())
+        self.validate()?;
+        Ok(pool::map(self.jobs(), threads::resolve(threads), |_, _, job: Job| job.run()))
     }
 
-    /// Run the whole grid and group reports by row: `out[r][k]` is the
-    /// `r`-th (scenario, variant) row under the `k`-th seed — rows
-    /// enumerate scenario-major, variant-mid, so without a variant axis
-    /// `r` is simply the scenario index.
-    pub fn run_grouped(&self, threads: Option<usize>) -> Vec<Vec<RunReport>> {
-        let n_seeds = self.n_seeds();
-        let mut grouped: Vec<Vec<RunReport>> =
-            Vec::with_capacity(self.n_scenarios() * self.n_variants());
-        let mut row: Vec<RunReport> = Vec::with_capacity(n_seeds);
-        for report in self.run_all(threads) {
-            row.push(report);
-            if row.len() == n_seeds {
-                grouped.push(std::mem::take(&mut row));
-            }
-        }
-        grouped
+    /// [`Self::try_run_all`], grouped by row: `out[r][k]` is the `r`-th
+    /// (scenario, variant) row under the `k`-th seed — rows enumerate
+    /// scenario-major, variant-mid, so without a variant axis `r` is
+    /// simply the scenario index.
+    pub fn run_grouped(&self, threads: Option<usize>) -> Result<Vec<Vec<RunReport>>, GridError> {
+        let mut reports = self.try_run_all(threads)?.into_iter();
+        let rows = self.n_scenarios() * self.n_variants();
+        Ok((0..rows).map(|_| reports.by_ref().take(self.n_seeds()).collect()).collect())
     }
 
     /// Stream the grid through `agg` without buffering reports: each
     /// report is handed to the aggregator in enumeration order as soon
     /// as its prefix is complete, then dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "invalid grid" if [`Self::validate`] fails; this
+    /// happens before any cell runs. A panicking cell re-raises here too.
     pub fn run_streaming(&self, threads: Option<usize>, agg: &mut dyn Aggregator) -> ExecStatus {
-        self.run_streaming_with(threads, &CancelToken::new(), None, agg)
-    }
-
-    /// [`Self::run_streaming`] with explicit cancellation and progress
-    /// hooks. On cancellation the aggregator may observe gaps (but never
-    /// out-of-order indices).
-    pub fn run_streaming_with(
-        &self,
-        threads: Option<usize>,
-        cancel: &CancelToken,
-        progress: Option<ProgressFn<'_>>,
-        agg: &mut dyn Aggregator,
-    ) -> ExecStatus {
         if let Err(e) = self.validate() {
             panic!("invalid grid: {e}");
         }
-        persistent::execute_streaming_pooled(
-            persistent::WorkerPool::global(),
+        pool::execute_streaming(
             self.jobs(),
             threads::resolve(threads),
-            cancel,
-            progress,
             |_, _, job: Job| job.run(),
             &mut |index, report| agg.consume(&self.meta(index), &report),
         )
@@ -630,8 +575,8 @@ mod tests {
     #[test]
     fn grouped_matches_flat_order() {
         let grid = small_grid();
-        let flat = grid.run_all(Some(2));
-        let grouped = grid.run_grouped(Some(2));
+        let flat = grid.try_run_all(Some(2)).expect("small grid is valid");
+        let grouped = grid.run_grouped(Some(2)).expect("small grid is valid");
         assert_eq!(grouped.len(), 2);
         for (s, row) in grouped.iter().enumerate() {
             assert_eq!(row.len(), 3);
@@ -645,27 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn reused_pool_is_byte_identical_across_sweeps() {
-        // Grid sweeps run on the process-wide persistent pool; two
-        // consecutive sweeps reuse the same parked threads and must
-        // produce byte-identical reports — which must in turn match the
-        // scoped (spawn-per-sweep) executor on the same job list.
-        let grid = small_grid();
-        let bytes = |rs: &[RunReport]| {
-            rs.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>()
-        };
-        let first = grid.run_all(Some(4));
-        let second = grid.run_all(Some(4));
-        assert_eq!(bytes(&first), bytes(&second));
-        let scoped = crate::pool::map(grid.jobs(), 4, |_, _, job: Job| job.run());
-        assert_eq!(bytes(&first), bytes(&scoped));
-    }
-
-    #[test]
     fn thread_count_does_not_change_reports() {
         let grid = small_grid();
-        let one = grid.run_all(Some(1));
-        let four = grid.run_all(Some(4));
+        let one = grid.try_run_all(Some(1)).expect("small grid is valid");
+        let four = grid.try_run_all(Some(4)).expect("small grid is valid");
         assert_eq!(serde_json::to_string(&one).unwrap(), serde_json::to_string(&four).unwrap());
     }
 
@@ -679,9 +607,10 @@ mod tests {
         )
         .seeds(&[]);
         assert_eq!(grid.validate(), Err(GridError::EmptySeedAxis));
-        assert_eq!(grid.try_run_all(Some(1)).unwrap_err(), GridError::EmptySeedAxis);
-        let err = grid.try_run(Some(1), &CancelToken::new()).map(|_| ()).unwrap_err();
+        let err = grid.try_run_all(Some(1)).unwrap_err();
+        assert_eq!(err, GridError::EmptySeedAxis);
         assert_eq!(err.to_string(), "grid has an empty seed axis");
+        assert_eq!(grid.run_grouped(Some(1)).unwrap_err(), GridError::EmptySeedAxis);
     }
 
     #[test]
@@ -712,7 +641,8 @@ mod tests {
             4,
         )
         .seeds(&[]);
-        let _ = grid.run_all(Some(1));
+        let mut agg = crate::MetricsAggregator::new(1, crate::Metric::standard());
+        let _ = grid.run_streaming(Some(1), &mut agg);
     }
 
     #[test]
@@ -789,40 +719,5 @@ mod tests {
         let err = grid.try_run_all(Some(1)).unwrap_err();
         assert_eq!(err, GridError::DuplicateVariant { label: "fifo".into() });
         assert!(err.to_string().contains("\"fifo\""));
-    }
-
-    #[test]
-    fn cancellation_mid_sweep_returns_partial() {
-        // 1 scenario x 8 seeds: cancelling after the 2nd delivery can
-        // leak at most ~2 more jobs past the bounded funnel.
-        let grid = Grid::new(
-            RunConfig { pool_size: 4, ng: 2, ..Default::default() },
-            Population::mturk_live(),
-            specs(4),
-            4,
-        )
-        .seeds(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let cancel = CancelToken::new();
-        let mut consumed = 0usize;
-        struct Counter<'a>(&'a mut usize);
-        impl Aggregator for Counter<'_> {
-            fn consume(&mut self, _meta: &JobMeta, _report: &RunReport) {
-                *self.0 += 1;
-            }
-        }
-        let cancel_ref = &cancel;
-        let status = grid.run_streaming_with(
-            Some(1),
-            &cancel,
-            Some(&mut |done, _| {
-                if done == 2 {
-                    cancel_ref.cancel();
-                }
-            }),
-            &mut Counter(&mut consumed),
-        );
-        assert!(status.cancelled);
-        assert!(status.completed < grid.n_jobs());
-        assert_eq!(status.completed, consumed);
     }
 }

@@ -6,19 +6,19 @@
 //! of Table-3 knobs (`PMℓ`, `SM`, `Np`, `Ng`, `R`, `Alg`). Each cell of
 //! such a grid is an independent simulation — a pure function of its
 //! [`RunConfig`](clamshell_core::RunConfig) — so the whole sweep is
-//! embarrassingly parallel. This crate fans the cells across a
-//! work-stealing thread pool built from `std::thread` + channels (no
-//! external dependencies; the build is offline) and merges results back
-//! in **job-index order**, so the output of a sweep is byte-identical
-//! regardless of thread count or scheduling.
+//! embarrassingly parallel. This crate fans the cells across the calling
+//! thread plus scoped helper threads built from `std::thread` + channels
+//! (no external dependencies; the build is offline) and merges results
+//! back in **job-index order**, so the output of a sweep is
+//! byte-identical regardless of thread count or scheduling.
 //!
 //! ## Layers
 //!
-//! * [`queue`] — the work-stealing deque set: each worker owns a local
-//!   queue and steals from its peers when drained.
 //! * [`pool`] — the generic scatter/gather executor: runs any
-//!   `Fn(usize, T) -> R` over a job list, streaming `(index, result)`
-//!   pairs through a reorder buffer so consumers observe index order.
+//!   `Fn(worker, index, T) -> R` over a job list on the calling thread
+//!   (worker 0) plus scoped helpers that claim items from one shared
+//!   cursor, streaming `(index, result)` pairs through a reorder buffer
+//!   so consumers observe index order.
 //! * [`job`] — the concrete sweep job: `(RunConfig, task specs, seed)`
 //!   plus its population and batch size, evaluated via
 //!   [`run_batched`](clamshell_core::runner::run_batched).
@@ -27,14 +27,12 @@
 //! * [`aggregate`] — streaming per-cell statistics on
 //!   [`OnlineStats`](clamshell_sim::stats::OnlineStats), so million-cell
 //!   sweeps never buffer every [`RunReport`](clamshell_core::metrics::RunReport).
-//! * [`persistent`] — the process-wide [`WorkerPool`]: long-lived
-//!   threads parked between sweeps, reused by every [`Grid`] run so
-//!   repeated sweeps stop paying thread spawn.
 //! * [`shard`] — mega-sweep scale-out: [`run_sharded`] walks the grid
 //!   in bounded chunks with an FNV-chained checkpoint manifest, so a
 //!   killed million-cell sweep resumes at the last completed shard with
 //!   bit-identical final statistics.
-//! * [`progress`] — cancellation tokens and completion callbacks.
+//! * [`progress`] — cancellation tokens and completion callbacks for
+//!   [`run_sharded`].
 //! * [`threads`] — thread-count resolution (see below).
 //!
 //! ## Thread-count resolution
@@ -72,7 +70,7 @@
 //! .scenario("NoSM", |c| c.straggler = None);
 //!
 //! // Grouped reports, scenario-major, seeds in declared order.
-//! let grouped = grid.run_grouped(Some(2));
+//! let grouped = grid.run_grouped(Some(2)).expect("labels are unique and seeds non-empty");
 //! assert_eq!(grouped.len(), 2);
 //! assert_eq!(grouped[0].len(), 3);
 //!
@@ -87,17 +85,13 @@
 pub mod aggregate;
 pub mod grid;
 pub mod job;
-pub mod persistent;
 pub mod pool;
 pub mod progress;
-pub mod queue;
 pub mod shard;
 pub mod threads;
 
 pub use aggregate::{Aggregator, Metric, MetricsAggregator, ObsAggregator};
 pub use grid::{Grid, GridError, JobMeta, Scenario};
-pub use persistent::{execute_streaming_pooled, WorkerPool};
-pub use pool::{execute, execute_streaming, ExecStatus};
+pub use pool::{execute_streaming, ExecStatus};
 pub use progress::{CancelToken, ProgressFn};
-pub use queue::StealQueues;
 pub use shard::{run_sharded, ShardError, ShardOptions, ShardOutcome};

@@ -3,7 +3,7 @@
 //! watch hybrid track the better of the two (§5.1 / Figure 15).
 //!
 //! The three strategies are independent runs, so they fan out across
-//! the sweep engine's work-stealing pool; results come back in
+//! the sweep engine's threads; results come back in
 //! submission order, so the printout is identical at any thread count
 //! (set `CLAMSHELL_THREADS` to experiment).
 //!

@@ -57,7 +57,7 @@
 //! | [`learn`] | ML substrate: logistic/softmax regression, uncertainty sampling, dataset generators |
 //! | [`quality`] | Quality control: majority voting, Dawid–Skene EM, inter-worker agreement |
 //! | [`core`] | The CLAMShell system: runner, straggler mitigation, pool maintenance, hybrid learning, baselines |
-//! | [`sweep`] | Deterministic parallel sweep engine: seed × scenario grids on a work-stealing pool |
+//! | [`sweep`] | Deterministic parallel sweep engine: seed × scenario grids on the calling thread plus scoped helpers |
 //! | [`stream`] | Streaming service mode: open-loop task streams, periodic checkpoints, bounded-memory retirement |
 //! | [`scenarios`] | Named adversity scenarios (churn, spammers, outages, …) + golden-master conformance suite |
 

@@ -103,8 +103,8 @@ fn sweeps_are_thread_count_invariant() {
     };
 
     // Serialized reports, byte for byte.
-    let one = grid().run_all(Some(1));
-    let four = grid().run_all(Some(4));
+    let one = grid().try_run_all(Some(1)).expect("scenario labels are unique");
+    let four = grid().try_run_all(Some(4)).expect("scenario labels are unique");
     assert_eq!(one.len(), 12);
     let bytes = |reports: &[RunReport]| {
         reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>()
