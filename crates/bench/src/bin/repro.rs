@@ -27,7 +27,8 @@
 //! `clamshell_obs::trace`); the recording draws no RNG values, so
 //! traced tables match untraced ones byte for byte.
 
-use clamshell_bench::{extra_registry, registry, util::json_str, util::Opts};
+use clamshell_bench::{extra_registry, registry, util::Opts};
+use clamshell_obs::json_str;
 
 /// Usage text shared by `--help` and the no-argument listing.
 const USAGE: &str = "\

@@ -7,10 +7,10 @@
 //! arrivals, and heavy-tailed inflation. Run all scenarios via
 //! `repro adversity`, or a single one via `repro --scenario <name>`.
 
-use crate::util::{f2, header, json_str, mean_of, ratio, row, Opts};
+use crate::util::{f2, header, mean_of, ratio, row, Opts};
 use clamshell_core::metrics::RunReport;
 use clamshell_core::RunConfig;
-use clamshell_obs::ObsConfig;
+use clamshell_obs::{json_str, ObsConfig};
 use clamshell_scenarios::{catalog, find, ScenarioDef};
 use clamshell_sweep::Grid;
 use clamshell_trace::Population;

@@ -49,31 +49,9 @@ pub fn digit_specs(n_tasks: usize, ng: usize) -> Vec<TaskSpec> {
     (0..n_tasks).map(|i| TaskSpec::new((0..ng).map(|j| ((i + j) % 10) as u32).collect())).collect()
 }
 
-/// Run one configuration over all seeds and return the reports, seed
-/// order preserved.
-///
-/// Serial-compat shim over the sweep engine: the signature predates
-/// `clamshell-sweep` and is kept for callers that sweep a single
-/// config, but the work now fans across the sweep engine's threads
-/// (thread count from `CLAMSHELL_THREADS`, else available
-/// parallelism). Reports are merged in seed order, so output is
-/// byte-identical to the old serial loop at any thread count.
-pub fn run_seeds(
-    base: &RunConfig,
-    population: &Population,
-    specs: &[TaskSpec],
-    batch_size: usize,
-    seeds: &[u64],
-) -> Vec<RunReport> {
-    Grid::new(base.clone(), population.clone(), specs.to_vec(), batch_size)
-        .seeds(seeds)
-        .try_run_all(None)
-        .expect("a scenario-free grid is valid whenever its seed axis is non-empty")
-}
-
-/// [`run_seeds`] with the seed axis *and* thread count taken from
-/// `opts` — what experiments should call, so a caller-supplied
-/// `Opts::threads` is honored on every sweep path.
+/// Run one configuration over `opts.seeds` on `opts.threads` sweep
+/// threads and return the reports in seed order. Reports merge in job
+/// order, so the output is the same at any thread count.
 pub fn run_seeds_opts(
     opts: &Opts,
     base: &RunConfig,
@@ -149,26 +127,6 @@ pub fn ratio(a: f64, b: f64) -> String {
     }
 }
 
-/// Quote and escape a string for JSON output (the `--format json`
-/// paths; same escaping scheme as the lint binary's reports).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,9 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_produces_one_report_per_seed() {
+    fn run_seeds_opts_produces_one_report_per_seed() {
+        let opts = Opts { seeds: vec![1, 2], ..Default::default() };
         let cfg = RunConfig { pool_size: 4, ..Default::default() };
-        let reports = run_seeds(&cfg, &Population::mturk_live(), &binary_specs(4, 2), 4, &[1, 2]);
+        let reports =
+            run_seeds_opts(&opts, &cfg, &Population::mturk_live(), &binary_specs(4, 2), 4);
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.tasks.len() == 4));
     }
@@ -217,8 +177,8 @@ mod tests {
         );
         assert_eq!(grouped.len(), 2);
         assert!(grouped.iter().all(|row| row.len() == 2));
-        // The identity scenario reproduces run_seeds exactly.
-        let direct = run_seeds(&cfg, &pop, &specs, 4, &opts.seeds);
+        // The identity scenario reproduces run_seeds_opts exactly.
+        let direct = run_seeds_opts(&opts, &cfg, &pop, &specs, 4);
         for (a, b) in grouped[1].iter().zip(&direct) {
             assert_eq!(a.total_secs(), b.total_secs());
             assert_eq!(a.cost.total_micro(), b.cost.total_micro());

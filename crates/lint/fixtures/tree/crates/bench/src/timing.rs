@@ -1,5 +1,5 @@
-//! Bench-crate fixture: wall-clock reads are the whole point here, so
-//! D002 does not apply inside `crates/bench`.
+//! Bench-crate fixture: `crates/bench` gets no wall-clock exemption
+//! (timing belongs in `perf/`), so D002 fires here.
 
 pub fn stopwatch() -> std::time::Instant {
     std::time::Instant::now()

@@ -13,7 +13,7 @@
 //! | Rule | Severity | What it rejects |
 //! |------|----------|-----------------|
 //! | D001 | error    | `HashMap`/`HashSet` in deterministic library code |
-//! | D002 | error    | `Instant::now` / `SystemTime::now` outside `crates/bench` |
+//! | D002 | error    | `Instant::now` / `SystemTime::now` in library code |
 //! | D003 | error    | `std::env` reads outside `sweep::threads` / `scenarios::golden` |
 //! | D004 | error    | RNG stream labels that are not literals/consts, or collide |
 //! | D005 | warning  | `unsafe` without a `// SAFETY:` comment |
@@ -134,12 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn d002_exempts_bench_crate() {
+    fn d002_fires_in_bench_crate() {
         let bad = "fn f() { let t = std::time::Instant::now(); }\n";
         let report = lint_sources(&[("crates/sim/src/x.rs", bad)]);
         assert_eq!(rules_of(&report), vec!["D002"]);
         let report = lint_sources(&[("crates/bench/src/x.rs", bad)]);
-        assert!(report.diagnostics.is_empty());
+        assert_eq!(rules_of(&report), vec!["D002"]);
     }
 
     #[test]

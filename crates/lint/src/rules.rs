@@ -1,11 +1,11 @@
 //! The determinism rule catalog (D001–D006) and the cross-file engine.
 //!
 //! Scope: the rules protect the determinism-critical crates (everything
-//! a simulation draw or report byte can flow through). `crates/bench` is
-//! exempt from the wall-clock rule (it *measures* wall time) and from
-//! the deterministic set; the linter itself is scanned but only the
-//! crate-agnostic rules apply to it. See ARCHITECTURE.md ("Determinism
-//! contract enforcement") for the full catalog and rationale.
+//! a simulation draw or report byte can flow through). `crates/bench` and
+//! the linter itself are scanned, but only the crate-agnostic rules (wall
+//! clock, `unsafe`, pragmas) apply to them. See ARCHITECTURE.md
+//! ("Determinism contract enforcement") for the full catalog and
+//! rationale.
 
 use crate::diag::{Diagnostic, LintReport, Severity, Suppression};
 use crate::discover::{FileKind, SourceSpec};
@@ -162,17 +162,14 @@ impl Engine {
                 self.check_names(spec, scanned, no);
             }
 
-            if spec.crate_key != "bench"
-                && lib
-                && (has_token(code, "Instant::now") || has_token(code, "SystemTime::now"))
-            {
+            if lib && (has_token(code, "Instant::now") || has_token(code, "SystemTime::now")) {
                 self.emit(
                     spec,
                     scanned,
                     no,
                     "D002",
-                    "wall-clock read outside crates/bench".into(),
-                    "wall-clock time breaks replay determinism; timing belongs in crates/bench",
+                    "wall-clock read in library code".into(),
+                    "wall-clock time breaks replay determinism; timing belongs in perf/",
                 );
             }
 

@@ -51,14 +51,14 @@ fn d001_hash_collections() {
 }
 
 #[test]
-fn d002_wall_clock_fires_outside_bench_only() {
+fn d002_wall_clock_fires_in_every_crate() {
     let report = lint_root(&fixture_root("tree")).expect("lint fixtures/tree");
     assert_eq!(count(&report, "crates/core/src/d002.rs", "D002"), 1);
     assert_eq!(suppressed_count(&report, "crates/core/src/d002.rs", "D002"), 1);
     assert_eq!(
         count(&report, "crates/bench/src/timing.rs", "D002"),
-        0,
-        "crates/bench is exempt from the wall-clock ban"
+        1,
+        "crates/bench is under the wall-clock ban too"
     );
 }
 

@@ -34,4 +34,4 @@ pub use observer::{ObsReport, RunObserver};
 pub use pool::PoolObs;
 pub use recorder::{FlightRecorder, TraceEvent, TraceKind};
 pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use trace::{fingerprint_hex, Fnv, TRACE_SCHEMA_VERSION};
+pub use trace::{fingerprint_hex, json_str, Fnv, TRACE_SCHEMA_VERSION};

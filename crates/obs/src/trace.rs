@@ -141,9 +141,9 @@ pub fn render_header(
     fingerprint: u64,
 ) -> String {
     format!(
-        "{{\"v\":{},\"stream\":\"clamshell-trace\",\"scenario\":\"{}\",\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\"fingerprint\":\"{}\"}}",
+        "{{\"v\":{},\"stream\":\"clamshell-trace\",\"scenario\":{},\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\"fingerprint\":\"{}\"}}",
         TRACE_SCHEMA_VERSION,
-        escape(scenario),
+        json_str(scenario),
         seed,
         events,
         recorded,
@@ -152,20 +152,31 @@ pub fn render_header(
     )
 }
 
-/// Minimal JSON string escape; scenario names are plain slugs but the
-/// renderer must never emit malformed JSON regardless.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Quote and escape a string as a JSON string literal: short escapes
+/// for `\n`, `\t` and `\r`, `\u00XX` for other control characters.
+/// Scenario names are plain slugs, but a renderer must never emit
+/// malformed JSON regardless.
+///
+/// ```
+/// assert_eq!(clamshell_obs::json_str("a\"b\n"), r#""a\"b\n""#);
+/// ```
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 

@@ -15,7 +15,8 @@
 //!   driven `arrived`/`backlog` fields, which are masked before compare.
 
 use clamshell_scenarios::suite;
-use clamshell_sim::arrivals::ArrivalSchedule;
+use clamshell_sim::arrivals::ArrivalCounter;
+use clamshell_sim::SimTime;
 use clamshell_stream::{run_stream, StreamConfig, StreamDigest};
 use proptest::prelude::*;
 
@@ -132,16 +133,19 @@ proptest! {
         }
     }
 
-    /// The arrival schedule itself is a pure, monotone function of
+    /// The arrival timeline itself is a pure, monotone function of
     /// `(seed, rate)` — the other half of the open-loop contract.
     #[test]
     fn arrival_schedule_is_pure(seed in 0u64..10_000, rate in arb_rate()) {
-        let mut a = ArrivalSchedule::new(seed, rate);
-        let mut b = ArrivalSchedule::new(seed, rate);
-        for i in (0..60).rev() {
-            prop_assert_eq!(a.arrival_time(i), b.arrival_time(i));
+        let mut a = ArrivalCounter::new(seed, rate);
+        let mut b = ArrivalCounter::new(seed, rate);
+        let mut prev = 0;
+        for i in 0..60 {
+            let t = SimTime::from_millis(i * 500);
+            let n = a.arrived_by(t);
+            prop_assert_eq!(n, b.arrived_by(t));
+            prop_assert!(n >= prev);
+            prev = n;
         }
-        let times: Vec<_> = (0..60).map(|i| a.arrival_time(i)).collect();
-        prop_assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -13,10 +13,10 @@
 //! reports how many tasks had arrived by the checkpoint instant and the
 //! resulting backlog.
 //!
-//! Like [`OutageSchedule`](crate::faults::OutageSchedule), the schedule
-//! is lazy and query-order-independent: inter-arrival gaps are
-//! exponential around `1/rate` seconds, floored at one millisecond so
-//! arrival instants are strictly increasing.
+//! Like [`OutageSchedule`](crate::faults::OutageSchedule), the timeline
+//! is generated lazily: inter-arrival gaps are exponential around
+//! `1/rate` seconds, floored at one millisecond so arrival instants are
+//! strictly increasing.
 
 use crate::dist::{Exponential, Sample};
 use crate::faults::fault_stream;
@@ -27,9 +27,8 @@ use crate::time::{SimDuration, SimTime};
 /// across all `fault_stream` call sites (lint rule D004).
 pub const ARRIVALS: u64 = 0x0A77_1DEA;
 
-/// The arrival process RNG: the single `fault_stream` call site both
-/// [`ArrivalSchedule`] and [`ArrivalCounter`] draw from, so the two
-/// views consume the *same* gap sequence by construction.
+/// The arrival process RNG: the single `fault_stream` call site for the
+/// [`ARRIVALS`] label.
 fn arrivals_stream(seed: u64) -> Rng {
     fault_stream(seed, ARRIVALS)
 }
@@ -40,95 +39,24 @@ fn next_gap(rng: &mut Rng, gap: &Exponential) -> SimDuration {
     SimDuration::from_secs_f64(gap.sample(rng)).max(SimDuration::from_millis(1))
 }
 
-/// A deterministic open-loop arrival timeline: the instants at which
-/// tasks 0, 1, 2, … of an unbounded stream arrive, generated lazily from
-/// a dedicated labeled stream of the run seed.
+/// A deterministic open-loop arrival timeline in constant memory: counts
+/// the tasks of an unbounded stream that have arrived by monotone
+/// non-decreasing probe times, without materializing the instants. It
+/// keeps only the RNG cursor, the next pending arrival instant, and the
+/// count — O(1) regardless of stream length, which is what an unbounded
+/// service run needs.
 ///
 /// ```
-/// use clamshell_sim::arrivals::ArrivalSchedule;
+/// use clamshell_sim::arrivals::ArrivalCounter;
 /// use clamshell_sim::time::SimTime;
 ///
-/// let mut a = ArrivalSchedule::new(7, 2.0);
-/// let mut b = ArrivalSchedule::new(7, 2.0);
-/// assert_eq!(a.arrival_time(10), b.arrival_time(10));
-/// // Counting is monotone in time and consistent with arrival instants.
-/// let t = a.arrival_time(4);
-/// assert_eq!(a.arrived_by(t), 5);
+/// let mut a = ArrivalCounter::new(7, 2.0);
+/// let mut b = ArrivalCounter::new(7, 2.0);
 /// assert_eq!(a.arrived_by(SimTime::ZERO), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ArrivalSchedule {
-    rng: Rng,
-    gap: Exponential,
-    /// Arrival instants materialized so far, strictly increasing.
-    times: Vec<SimTime>,
-}
-
-impl ArrivalSchedule {
-    /// Build a schedule for `rate_per_sec` mean arrivals per simulated
-    /// second, drawing from the dedicated [`ARRIVALS`] stream of `seed`.
-    pub fn new(seed: u64, rate_per_sec: f64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "arrival rate must be positive and finite"
-        );
-        ArrivalSchedule {
-            rng: arrivals_stream(seed),
-            gap: Exponential::from_mean(1.0 / rate_per_sec),
-            times: Vec::new(),
-        }
-    }
-
-    /// Extend the materialized timeline to cover at least `n` arrivals.
-    fn extend_to(&mut self, n: usize) {
-        while self.times.len() < n {
-            let prev = self.times.last().copied().unwrap_or(SimTime::ZERO);
-            let gap = next_gap(&mut self.rng, &self.gap);
-            self.times.push(prev + gap);
-        }
-    }
-
-    /// The arrival instant of the `i`-th task of the stream (0-indexed).
-    pub fn arrival_time(&mut self, i: usize) -> SimTime {
-        self.extend_to(i + 1);
-        self.times[i]
-    }
-
-    /// How many tasks have arrived at or before time `t`.
-    pub fn arrived_by(&mut self, t: SimTime) -> u64 {
-        while self.times.last().is_none_or(|&last| last <= t) {
-            let n = self.times.len();
-            self.extend_to(n + 1);
-        }
-        self.times.partition_point(|&at| at <= t) as u64
-    }
-
-    /// Arrival instants materialized so far (testing / reporting).
-    pub fn generated(&self) -> &[SimTime] {
-        &self.times
-    }
-}
-
-/// The constant-memory view of the same arrival timeline: counts
-/// arrivals at monotone non-decreasing probe times without materializing
-/// the instants. [`ArrivalSchedule`] memoizes every arrival it ever
-/// generates (O(arrivals) live bytes — fine for tests and reporting,
-/// fatal for an unbounded service run), so the streaming engine uses
-/// this instead: it keeps only the RNG cursor, the next pending arrival
-/// instant, and the count — O(1) regardless of stream length.
-///
-/// Both views draw from the same labeled stream with the same gap floor,
-/// so for any probe time `t`, `counter.arrived_by(t) ==
-/// schedule.arrived_by(t)` exactly.
-///
-/// ```
-/// use clamshell_sim::arrivals::{ArrivalCounter, ArrivalSchedule};
-/// use clamshell_sim::time::SimTime;
-///
-/// let mut counter = ArrivalCounter::new(7, 2.0);
-/// let mut schedule = ArrivalSchedule::new(7, 2.0);
 /// let t = SimTime::from_secs(30);
-/// assert_eq!(counter.arrived_by(t), schedule.arrived_by(t));
+/// assert_eq!(a.arrived_by(t), b.arrived_by(t));
+/// // Counting is monotone in time.
+/// assert!(a.arrived_by(SimTime::from_secs(60)) >= b.arrived_by(t));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArrivalCounter {
@@ -140,8 +68,8 @@ pub struct ArrivalCounter {
 }
 
 impl ArrivalCounter {
-    /// Build a counter over the `(seed, rate_per_sec)` arrival timeline
-    /// (same parameters and stream as [`ArrivalSchedule::new`]).
+    /// Build a counter for `rate_per_sec` mean arrivals per simulated
+    /// second, drawing from the dedicated [`ARRIVALS`] stream of `seed`.
     pub fn new(seed: u64, rate_per_sec: f64) -> Self {
         assert!(
             rate_per_sec.is_finite() && rate_per_sec > 0.0,
@@ -171,65 +99,74 @@ impl ArrivalCounter {
 mod tests {
     use super::*;
 
+    /// Reference timeline: the first `n` arrival instants, folded
+    /// directly from the gap sequence.
+    fn reference(seed: u64, rate: f64, n: usize) -> Vec<SimTime> {
+        let mut rng = arrivals_stream(seed);
+        let gap = Exponential::from_mean(1.0 / rate);
+        let mut at = SimTime::ZERO;
+        (0..n)
+            .map(|_| {
+                at += next_gap(&mut rng, &gap);
+                at
+            })
+            .collect()
+    }
+
     #[test]
     fn arrivals_are_deterministic_and_strictly_increasing() {
-        let mut a = ArrivalSchedule::new(42, 1.5);
-        let mut b = ArrivalSchedule::new(42, 1.5);
-        let ta: Vec<SimTime> = (0..200).map(|i| a.arrival_time(i)).collect();
-        let tb: Vec<SimTime> = (0..200).map(|i| b.arrival_time(i)).collect();
-        assert_eq!(ta, tb);
+        let ta = reference(42, 1.5, 200);
+        assert_eq!(ta, reference(42, 1.5, 200));
         for w in ta.windows(2) {
             assert!(w[0] < w[1], "arrival instants strictly increase");
+        }
+        // Each instant is counted exactly when it is reached.
+        let mut c = ArrivalCounter::new(42, 1.5);
+        for (i, &t) in ta.iter().enumerate() {
+            assert_eq!(c.arrived_by(t), i as u64 + 1);
         }
     }
 
     #[test]
     fn different_seeds_and_rates_differ() {
-        let t = |seed, rate| ArrivalSchedule::new(seed, rate).arrival_time(9);
+        let t = |seed, rate| reference(seed, rate, 10)[9];
         assert_ne!(t(1, 1.0), t(2, 1.0));
         assert_ne!(t(1, 1.0), t(1, 4.0));
+        let n = |seed, rate| ArrivalCounter::new(seed, rate).arrived_by(SimTime::from_secs(100));
+        assert_ne!(n(1, 1.0), n(1, 4.0));
     }
 
     #[test]
-    fn count_is_query_order_independent() {
-        let mut fwd = ArrivalSchedule::new(3, 2.0);
-        let mut rev = ArrivalSchedule::new(3, 2.0);
-        let probes: Vec<SimTime> = (0..40).map(|i| SimTime::from_secs(i * 7)).collect();
-        let a: Vec<u64> = probes.iter().map(|&t| fwd.arrived_by(t)).collect();
-        let mut b: Vec<u64> = probes.iter().rev().map(|&t| rev.arrived_by(t)).collect();
-        b.reverse();
-        assert_eq!(a, b);
-        for w in a.windows(2) {
+    fn counts_are_monotone_under_monotone_probes() {
+        let mut c = ArrivalCounter::new(3, 2.0);
+        let counts: Vec<u64> = (0..40).map(|i| c.arrived_by(SimTime::from_secs(i * 7))).collect();
+        assert_eq!(counts[0], 0);
+        for w in counts.windows(2) {
             assert!(w[0] <= w[1], "arrival counts are monotone in time");
         }
+        // Repeating a probe time does not move the counter.
+        let last = SimTime::from_secs(39 * 7);
+        assert_eq!(c.arrived_by(last), counts[39]);
     }
 
     #[test]
     fn mean_rate_tracks_configuration() {
         // 2 arrivals/sec over 1000 simulated seconds => ~2000 arrivals.
-        let mut s = ArrivalSchedule::new(5, 2.0);
-        let n = s.arrived_by(SimTime::from_secs(1000));
+        let mut c = ArrivalCounter::new(5, 2.0);
+        let n = c.arrived_by(SimTime::from_secs(1000));
         assert!((1700..2300).contains(&n), "arrivals={n}");
     }
 
     #[test]
-    #[should_panic]
-    fn zero_rate_rejected() {
-        let _ = ArrivalSchedule::new(1, 0.0);
-    }
-
-    #[test]
-    fn counter_matches_schedule_exactly() {
+    fn counter_matches_reference_exactly() {
         for (seed, rate) in [(1u64, 0.25), (9, 2.0), (77, 50.0)] {
             let mut counter = ArrivalCounter::new(seed, rate);
-            let mut schedule = ArrivalSchedule::new(seed, rate);
+            let times = reference(seed, rate, 20_000);
             for i in 0..300 {
                 let t = SimTime::from_millis(i * 137);
-                assert_eq!(
-                    counter.arrived_by(t),
-                    schedule.arrived_by(t),
-                    "seed={seed} rate={rate} t={t:?}"
-                );
+                assert!(times.last().is_some_and(|&last| last > t), "reference covers t");
+                let expected = times.partition_point(|&at| at <= t) as u64;
+                assert_eq!(counter.arrived_by(t), expected, "seed={seed} rate={rate} t={t:?}");
             }
         }
     }

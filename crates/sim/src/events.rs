@@ -30,11 +30,8 @@
 //! replacement some delta ahead, pending count steady around the
 //! retainer-pool size — this does amortized O(1) pops and schedules plus
 //! an O(chunk log chunk) sort every chunk-many pops, where a heap pays
-//! O(log n) sift traffic per operation. The `hotloop` bench in
-//! `clamshell-bench` measures it against a faithful copy of the previous
-//! `BinaryHeap` implementation; `BENCH_hotloop.json` at the repo root
-//! records the current numbers (≈ +25% events/sec at pool-sized queues,
-//! +60–95% at sweep-scale pending counts on the dev container).
+//! O(log n) sift traffic per operation. The `perf layers` harness times
+//! this pattern as `sim.queue_hold_ns` (see `perf/README.md`).
 //!
 //! Determinism is preserved exactly: `(time, seq)` pairs are unique, every
 //! pop takes the global minimum under that order, and all pivot/width

@@ -38,7 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arrivals::{ArrivalCounter, ArrivalSchedule};
+pub use arrivals::ArrivalCounter;
 pub use dist::{Beta, Exponential, LogNormal, Normal, TruncNormal};
 pub use events::EventQueue;
 pub use faults::{fault_stream, OutageSchedule};

@@ -6,9 +6,8 @@
 //! the shared [`BatchSizer`], so batch boundaries — and therefore every
 //! scheduling decision — coincide with the batched run over the same
 //! spec prefix. Arrival counts come from the open-loop
-//! [`ArrivalCounter`] — the constant-memory view of the
-//! [`ArrivalSchedule`](clamshell_sim::arrivals::ArrivalSchedule)
-//! timeline — and feed only checkpoint reporting; they never gate
+//! [`ArrivalCounter`] — a constant-memory view of the arrival timeline
+//! — and feed only checkpoint reporting; they never gate
 //! admission, which is precisely why the equivalence contract holds at
 //! any target rate.
 //!

@@ -102,7 +102,7 @@ pub mod prelude {
     pub use clamshell_obs::{MetricsSnapshot, ObsConfig, ObsReport};
     pub use clamshell_quality::{majority_vote, ConfusionEm, DawidSkene, EmConfig};
     pub use clamshell_scenarios::{CompactReport, ScenarioDef};
-    pub use clamshell_sim::arrivals::{ArrivalCounter, ArrivalSchedule};
+    pub use clamshell_sim::arrivals::ArrivalCounter;
     pub use clamshell_sim::{SimDuration, SimTime};
     pub use clamshell_stream::{run_stream, StreamCheckpoint, StreamConfig, StreamDigest};
     pub use clamshell_sweep::{
