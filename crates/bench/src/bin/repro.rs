@@ -71,8 +71,10 @@ resumed vs uninterrupted, at any thread count):
   --cells N        total grid cells before --quick scaling (default 256)
   --shard-size S   cells per shard: the memory bound and checkpoint
                    granularity (default 32)
-  --manifest PATH  shard manifest, one synced line appended per shard
-                   (default megasweep.manifest.jsonl)
+  --manifest PATH  shard manifest, one line appended per shard and
+                   synced every 1,024 cells and at the end; a power
+                   loss can cost up to 1,024 cells, which --resume
+                   re-runs (default megasweep.manifest.jsonl)
   --resume         restart from the manifest's last completed shard";
 
 fn main() {

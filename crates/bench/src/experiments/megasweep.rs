@@ -28,7 +28,9 @@ pub struct MegasweepArgs {
     pub cells: usize,
     /// Cells per shard — the memory bound and checkpoint granularity.
     pub shard_size: usize,
-    /// Shard-manifest path (one synced line appended per shard).
+    /// Shard-manifest path: one line appended per shard, synced in
+    /// groups of at least 1,024 cells and at the end (see
+    /// [`ShardOptions::manifest`]).
     pub manifest: PathBuf,
     /// Resume from the manifest if it exists.
     pub resume: bool,

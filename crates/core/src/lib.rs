@@ -15,6 +15,10 @@
 //!               └────────────────┴───────────◄────────────────┘
 //! ```
 //!
+//! The Batcher is [`runner::run_batched`] for a task set and, for a task
+//! stream, the `clamshell-stream` engine, which forms batches with the
+//! same [`runner::BatchSizer`].
+//!
 //! * [`config`] — every experimental knob from Table 3 (`PMℓ`, `SM`, `Np`,
 //!   `Ng`, `R`, `Alg`) plus quality-control quorum.
 //! * [`adversity`] — deterministic fault injection: worker churn,
@@ -39,7 +43,6 @@
 
 pub mod adversity;
 pub mod baselines;
-pub mod batcher;
 pub mod config;
 pub mod learning;
 pub mod lifeguard;
@@ -50,7 +53,6 @@ pub mod runner;
 pub mod task;
 
 pub use adversity::{AdversityConfig, BurstFault, ChurnFault, OutageFault};
-pub use batcher::{Batcher, BatcherConfig};
 pub use config::{
     CheckoutStrategy, MaintenanceConfig, MaintenanceObjective, PoolConfig, QcMode, RunConfig,
     StragglerConfig,

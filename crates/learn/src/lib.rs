@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod datasets;
-pub mod ensemble;
 pub mod eval;
 pub mod linalg;
 pub mod logistic;

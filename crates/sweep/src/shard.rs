@@ -14,8 +14,8 @@
 //!
 //! Everything after the resumed prefix runs as one pipelined pass. The
 //! calling thread is worker 0: it claims blocks, runs them, folds every
-//! report, and appends and syncs a shard's checkpoint as soon as the
-//! fold crosses that shard's end. `threads - 1` scoped helper threads,
+//! report, and appends a shard's checkpoint as soon as the fold crosses
+//! that shard's end. `threads - 1` scoped helper threads,
 //! spawned once per sweep, claim blocks from the same cursor and hand
 //! each block's reports back in one message. No thread waits at a shard
 //! boundary, so one thread's checkpoint sync overlaps the others'
@@ -60,13 +60,29 @@
 //! The file is append-only. A fresh sweep creates it with the header,
 //! `sync_data`s it, and fsyncs the parent directory once so the new
 //! entry survives power loss. Each completed shard then appends its line
-//! in a single `write` followed by `sync_data`, so a checkpoint costs
-//! `O(shard)` I/O, not a rewrite of every earlier line. A kill can only
-//! tear the *final* line, which then lacks its trailing `\n`; resume
-//! treats that shard as never recorded, truncates the file back to the
-//! last newline, and appends from there, so the finished file is byte-
-//! identical to an uninterrupted run's. A complete (newline-terminated)
-//! line that fails validation is still [`ShardError::Corrupt`].
+//! in a single `write`, so a checkpoint costs `O(shard)` I/O, not a
+//! rewrite of every earlier line.
+//!
+//! `sync_data` is group-committed by cell count: it runs once the lines
+//! written since the last sync cover 1,024 cells, when a resume opens the
+//! file, and whenever [`run_sharded`] returns `Ok`, completed or
+//! cancelled. A shard of 1,024 cells or more therefore syncs every line;
+//! the default 32-cell shard syncs every 32 lines. The durability
+//! contract:
+//!
+//! - **A kill** (SIGKILL, a panic, `abort`) loses nothing that was
+//!   written: the bytes sit in the page cache, which outlives the
+//!   process. It can only tear the line being written.
+//! - **An OS crash or power loss** keeps at least the prefix up to the
+//!   last sync. It may drop the checkpoints of up to 1,024 cells plus a
+//!   torn line after that prefix, and resume re-runs those cells.
+//!
+//! Either way only the *final* line can be torn, and it then lacks its
+//! trailing `\n`; resume treats that shard as never recorded, truncates
+//! the file back to the last newline, and appends from there, so the
+//! finished file (and the aggregate) is byte-identical to an
+//! uninterrupted run's. A complete (newline-terminated) line that fails
+//! validation is still [`ShardError::Corrupt`].
 //!
 //! On resume the header is validated against the live grid
 //! ([`Grid::shape_fingerprint`], shard size, job count, snapshot shape),
@@ -99,8 +115,10 @@ pub struct ShardOptions {
     /// memory does not grow with it: cells are materialized, run and
     /// folded in blocks of at most 64, never more than one shard each.
     pub shard_size: usize,
-    /// Manifest path. One line is appended and synced after every
-    /// completed shard.
+    /// Manifest path. One line is appended after every completed shard.
+    /// Lines are synced in groups of at least 1,024 cells and when the
+    /// sweep returns, so a power loss can cost up to 1,024 cells of
+    /// checkpoints, which resume re-runs; a kill costs none.
     pub manifest: PathBuf,
     /// Resume from `manifest` if it exists (a missing file starts a
     /// fresh sweep, since a kill can land before the first checkpoint).
@@ -321,10 +339,28 @@ fn sync_parent_dir(path: &Path) -> Result<(), ShardError> {
     Ok(())
 }
 
+/// Group-commit threshold: [`Manifest::append`] syncs once the lines
+/// written since the last sync cover this many cells, so between appends
+/// fewer than this many cells of checkpoints are ever unsynced. Counted
+/// in cells, never by the wall clock, so when a sweep syncs is a pure
+/// function of its shape.
+const SYNC_CELLS: usize = 1024;
+
 /// The manifest, open for appending after its last complete line.
+///
+/// Each line goes to the kernel in one `write`, but `sync_data` is
+/// group-committed: it runs after the header, after a resume opens the
+/// file, once the unsynced lines cover [`SYNC_CELLS`] cells, and in
+/// [`Manifest::sync`] when the sweep returns.
 struct Manifest<'a> {
     file: File,
     path: &'a Path,
+    /// Bytes written: the end of the last complete line.
+    written: u64,
+    /// Bytes known durable: the file length at the last `sync_data`.
+    synced: u64,
+    /// Cells covered by the lines in `synced..written`.
+    unsynced_cells: usize,
 }
 
 impl<'a> Manifest<'a> {
@@ -334,15 +370,18 @@ impl<'a> Manifest<'a> {
     /// stale manifest.
     fn create(path: &'a Path, header: &Header) -> Result<Self, ShardError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
-        let mut manifest = Manifest { file, path };
-        manifest.append(header.render())?;
+        let mut manifest = Manifest { file, path, written: 0, synced: 0, unsynced_cells: 0 };
+        manifest.write_line(header.render())?;
+        manifest.sync()?;
         sync_parent_dir(path)?;
         Ok(manifest)
     }
 
-    /// Open an existing manifest, validate it against `header`, and cut
-    /// a torn final line back to the last newline. `None` when not even
-    /// the header line was completed.
+    /// Open an existing manifest, validate it against `header`, cut a
+    /// torn final line back to the last newline, and sync. The sync
+    /// always runs: a killed process may have left up to [`SYNC_CELLS`]
+    /// cells of lines unsynced, and this one's count does not cover
+    /// them. `None` when not even the header line was completed.
     fn resume(path: &'a Path, header: &Header) -> Result<Option<(Self, Resumed)>, ShardError> {
         let file =
             OpenOptions::new().read(true).append(true).open(path).map_err(|e| io_err(path, e))?;
@@ -351,21 +390,46 @@ impl<'a> Manifest<'a> {
         };
         let len = file.metadata().map_err(|e| io_err(path, e))?.len();
         if len > resumed.end {
-            file.set_len(resumed.end)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| io_err(path, e))?;
+            file.set_len(resumed.end).map_err(|e| io_err(path, e))?;
         }
-        Ok(Some((Manifest { file, path }, resumed)))
+        let mut manifest =
+            Manifest { file, path, written: resumed.end, synced: 0, unsynced_cells: 0 };
+        manifest.sync()?;
+        Ok(Some((manifest, resumed)))
     }
 
-    /// Append `line` and its newline in a single `write`, then
-    /// `sync_data`: the checkpoint is durable once this returns.
-    fn append(&mut self, mut line: String) -> Result<(), ShardError> {
+    /// Append a checkpoint line covering `cells` cells, then sync if the
+    /// unsynced lines now cover at least [`SYNC_CELLS`] cells.
+    fn append(&mut self, line: String, cells: usize) -> Result<(), ShardError> {
+        self.write_line(line)?;
+        self.unsynced_cells += cells;
+        if self.unsynced_cells >= SYNC_CELLS {
+            self.sync()?;
+        }
+        #[cfg(test)]
+        tests::note(self);
+        Ok(())
+    }
+
+    /// Write `line` and its newline in a single `write`, so a crash can
+    /// only tear the final line.
+    fn write_line(&mut self, mut line: String) -> Result<(), ShardError> {
         line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err(self.path, e))
+        self.file.write_all(line.as_bytes()).map_err(|e| io_err(self.path, e))?;
+        self.written += line.len() as u64;
+        Ok(())
+    }
+
+    /// Make every written line durable, if any is not yet.
+    fn sync(&mut self) -> Result<(), ShardError> {
+        if self.synced < self.written {
+            self.file.sync_data().map_err(|e| io_err(self.path, e))?;
+            self.synced = self.written;
+            self.unsynced_cells = 0;
+        }
+        #[cfg(test)]
+        tests::note(self);
+        Ok(())
     }
 }
 
@@ -625,7 +689,8 @@ impl Fold<'_, '_> {
                 (self.shards as u64, (self.shards * self.shard_size) as u64, self.done as u64);
             let cells = self.agg.snapshot_words();
             self.fp = chain_fp(self.fp, shard, lo, hi, &cells);
-            self.manifest.append(render_shard_line(shard, lo, hi, &cells, self.fp))?;
+            self.manifest
+                .append(render_shard_line(shard, lo, hi, &cells, self.fp), (hi - lo) as usize)?;
             self.shards += 1;
         }
         if let Some(p) = self.progress.as_mut() {
@@ -647,7 +712,10 @@ impl Fold<'_, '_> {
 /// fold is sequential rather than merge-based.
 ///
 /// `progress` is called as `(folded, n_jobs)` after every cell, on the
-/// calling thread, once any checkpoint that cell completes is durable.
+/// calling thread, once any checkpoint that cell completes is written.
+/// That checkpoint survives a kill at once, and a power loss once the
+/// group commit described in the module docs has synced it; every
+/// checkpoint is synced by the time this returns `Ok`.
 /// A cancellation stops the fold at once: `completed` counts the folds,
 /// and `shards_completed` the shard lines on disk. `agg` may hold folds
 /// past the last checkpoint; a resume restores from the manifest, so
@@ -706,6 +774,7 @@ pub fn run_sharded(
     };
     let blocks = Blocks::new(start, n_jobs, opts.shard_size);
     pipeline(grid, blocks, threads::resolve(opts.threads), cancel, &mut fold)?;
+    fold.manifest.sync()?;
 
     Ok(ShardOutcome {
         completed: fold.done,
@@ -864,6 +933,22 @@ mod tests {
     use clamshell_core::task::TaskSpec;
     use clamshell_core::RunConfig;
     use clamshell_trace::Population;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// `(written, synced)` of every manifest this thread appended to
+        /// or synced, after each append and each sync. The fold runs on
+        /// the thread that calls `run_sharded`, so a test sees its own.
+        static SYNC_LOG: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note(manifest: &Manifest<'_>) {
+        SYNC_LOG.with(|log| log.borrow_mut().push((manifest.written, manifest.synced)));
+    }
+
+    fn take_sync_log() -> Vec<(u64, u64)> {
+        SYNC_LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
+    }
 
     fn grid() -> Grid {
         let specs: Vec<TaskSpec> = (0..4).map(|i| TaskSpec::new(vec![(i % 2) as u32; 2])).collect();
@@ -1338,6 +1423,123 @@ mod tests {
         }
         assert!(text.starts_with(&format!("{{\"v\":{MANIFEST_VERSION},")));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Cells checkpointed by `full` up to each line end, keyed by the
+    /// byte offset past that line's newline: the line's `hi`, or 0 for
+    /// the header and for the empty file.
+    fn cells_by_offset(full: &[u8]) -> std::collections::HashMap<u64, u64> {
+        let mut at = 0;
+        let lines = std::str::from_utf8(full).unwrap().split_inclusive('\n').map(|line| {
+            at += line.len() as u64;
+            (at, take_u64(line, "hi").unwrap_or(0))
+        });
+        std::iter::once((0, 0)).chain(lines).collect()
+    }
+
+    /// Check one run's sync log against `full`, the uninterrupted
+    /// manifest, of which the file is a prefix at every point of the
+    /// run. After every append the unsynced lines cover fewer than
+    /// `SYNC_CELLS` cells, and none when a shard alone reaches it; when
+    /// `run_sharded` has returned `Ok`, the file on disk is all synced.
+    /// Returns the synced lengths the run passed through.
+    fn check_sync_log(path: &Path, full: &[u8], shard_size: usize, case: &str) -> Vec<u64> {
+        let log = take_sync_log();
+        let cells = cells_by_offset(full);
+        for &(written, synced) in &log {
+            let unsynced = cells[&written] - cells[&synced];
+            assert!(unsynced < SYNC_CELLS as u64, "{case}: {unsynced} cells unsynced");
+            if shard_size >= SYNC_CELLS {
+                assert_eq!(written, synced, "{case}: a large shard's line went unsynced");
+            }
+        }
+        let len = std::fs::metadata(path).unwrap().len();
+        assert_eq!(log.last(), Some(&(len, len)), "{case}: returned with unsynced lines");
+        log.into_iter().map(|(_, synced)| synced).collect()
+    }
+
+    #[test]
+    fn power_loss_after_any_sync_resumes_to_the_uninterrupted_manifest() {
+        // 2 × 1,550 = 3,100 one-task cells: over 3 × SYNC_CELLS, and
+        // divided by no tested shard size but 1.
+        let seeds: Vec<u64> = (1..=1550).collect();
+        let g = Grid::new(
+            RunConfig { pool_size: 1, ng: 1, ..Default::default() },
+            Population::mturk_live(),
+            vec![TaskSpec::new(vec![0])],
+            1,
+        )
+        .seeds(&seeds)
+        .scenario("sm", |c| c.straggler = Some(Default::default()))
+        .scenario("nosm", |c| c.straggler = None);
+        let n_jobs = g.n_jobs();
+        let reference = reference_words(&g);
+        for shard_size in [1, 32, 1000, 2048] {
+            for threads in [1, 2] {
+                let case = format!("s={shard_size} t={threads}");
+                let path = manifest_path(&format!("power_{shard_size}_{threads}"));
+                let opts = ShardOptions {
+                    shard_size,
+                    manifest: path.clone(),
+                    resume: false,
+                    threads: Some(threads),
+                };
+                take_sync_log();
+                run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None).unwrap();
+                let full = std::fs::read(&path).unwrap();
+                let mut synced = check_sync_log(&path, &full, shard_size, &case);
+
+                // A cancelled sweep returns fully synced too, and resumes.
+                let cancel = CancelToken::new();
+                let cancel_ref = &cancel;
+                let out = run_sharded(
+                    &g,
+                    &mut fresh_agg(&g),
+                    &opts,
+                    &cancel,
+                    Some(&mut |done, _| {
+                        if done == n_jobs / 2 + 7 {
+                            cancel_ref.cancel();
+                        }
+                    }),
+                )
+                .unwrap();
+                assert!(out.cancelled, "{case}");
+                check_sync_log(&path, &full, shard_size, &format!("{case} cancelled"));
+                let resume = ShardOptions { resume: true, ..opts.clone() };
+                let mut agg = fresh_agg(&g);
+                run_sharded(&g, &mut agg, &resume, &CancelToken::new(), None).unwrap();
+                check_sync_log(&path, &full, shard_size, &format!("{case} resumed"));
+                assert_eq!(agg.snapshot_words(), reference, "{case} resumed");
+                assert!(std::fs::read(&path).unwrap() == full, "{case} resumed");
+
+                // Lose power with the file at each synced length the
+                // uninterrupted run reached, alternately cut clean and
+                // with a torn prefix of the next line after it.
+                synced.sort_unstable();
+                synced.dedup();
+                for (i, &at) in synced.iter().enumerate() {
+                    let at = at as usize;
+                    let mut cut = at;
+                    if i % 2 == 1 && at < full.len() {
+                        let line = full[at..].iter().position(|&b| b == b'\n').unwrap();
+                        cut += 1 + (at * 7919) % line;
+                    }
+                    let lost = format!("{case} lost power at {at}+{}", cut - at);
+                    std::fs::write(&path, &full[..cut]).unwrap();
+                    let mut agg = fresh_agg(&g);
+                    let out =
+                        run_sharded(&g, &mut agg, &resume, &CancelToken::new(), None).unwrap();
+                    check_sync_log(&path, &full, shard_size, &lost);
+                    let lines = full[..at].iter().filter(|&&b| b == b'\n').count();
+                    assert!(out.is_complete(), "{lost}: {out:?}");
+                    assert_eq!(out.resumed_shards, lines.saturating_sub(1), "{lost}");
+                    assert_eq!(agg.snapshot_words(), reference, "{lost}");
+                    assert!(std::fs::read(&path).unwrap() == full, "{lost}: manifest differs");
+                }
+                let _ = std::fs::remove_file(&path);
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! sampled byte offset, as a kill in the middle of an append would leave
 //! it. Because the manifest is append-only, the finished file must then
 //! be byte-identical to an uninterrupted run's manifest.
+//!
+//! A power loss can cost more than the final line: every line written
+//! since the last group-commit sync may go, plus a torn one. The second
+//! property cuts a finished manifest at any byte after its header and
+//! resumes it to the same bytes.
 
 use clamshell_core::task::TaskSpec;
 use clamshell_core::RunConfig;
@@ -140,6 +145,50 @@ proptest! {
             prop_assert_eq!(out2.resumed_shards, recorded);
             prop_assert_eq!(resumed.snapshot_words(), reference);
         }
+        prop_assert!(std::fs::read(&path).unwrap() == uninterrupted, "manifest differs");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A manifest cut at any byte after its header (whole lines lost
+    /// plus a torn one, as a power loss leaves it) resumes to the
+    /// uninterrupted run's manifest and the serial reference bits.
+    #[test]
+    fn power_loss_at_any_byte_resumes_to_the_uninterrupted_manifest(
+        n_seeds in 1usize..5,
+        n_scenarios in 1usize..4,
+        shard_size in 1usize..9,
+        threads in 1usize..5,
+        cut_raw in 0usize..1 << 20,
+    ) {
+        let g = shaped_grid(n_seeds, n_scenarios);
+        let path: PathBuf = std::env::temp_dir().join(format!(
+            "clamshell_shard_prop_loss_{n_seeds}_{n_scenarios}_{shard_size}_{threads}.jsonl"
+        ));
+        let mut reference = fresh_agg(&g);
+        prop_assert!(g.run_streaming(Some(1), &mut reference).is_complete());
+        let reference = reference.snapshot_words();
+        let opts = ShardOptions {
+            shard_size,
+            manifest: path.clone(),
+            resume: false,
+            threads: Some(threads),
+        };
+        prop_assert!(run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None)
+            .unwrap()
+            .is_complete());
+        let uninterrupted = std::fs::read(&path).unwrap();
+
+        let header_end = uninterrupted.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let cut = header_end + cut_raw % (uninterrupted.len() - header_end + 1);
+        std::fs::write(&path, &uninterrupted[..cut]).unwrap();
+        let recorded = uninterrupted[..cut].iter().filter(|&&b| b == b'\n').count() - 1;
+
+        let opts = ShardOptions { resume: true, ..opts };
+        let mut resumed = fresh_agg(&g);
+        let out = run_sharded(&g, &mut resumed, &opts, &CancelToken::new(), None).unwrap();
+        prop_assert!(out.is_complete());
+        prop_assert_eq!(out.resumed_shards, recorded);
+        prop_assert_eq!(resumed.snapshot_words(), reference);
         prop_assert!(std::fs::read(&path).unwrap() == uninterrupted, "manifest differs");
         let _ = std::fs::remove_file(&path);
     }

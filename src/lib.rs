@@ -79,7 +79,6 @@ pub mod prelude {
         headline_raw_labeling, run_base_nr, run_base_r, run_clamshell, run_open_market, EndToEnd,
         OpenMarketConfig,
     };
-    pub use clamshell_core::batcher::{Batcher, BatcherConfig};
     pub use clamshell_core::config::{
         CheckoutStrategy, MaintenanceConfig, MaintenanceObjective, PoolConfig, QcMode, RunConfig,
         StragglerConfig,
@@ -94,7 +93,6 @@ pub mod prelude {
     pub use clamshell_learn::datasets::digits::{digits, DigitsConfig};
     pub use clamshell_learn::datasets::generate::{make_classification, GenConfig};
     pub use clamshell_learn::datasets::objects::{objects, ObjectsConfig};
-    pub use clamshell_learn::ensemble::{BaggedEnsemble, ModelAverage};
     pub use clamshell_learn::eval::LearningCurve;
     pub use clamshell_learn::model::SgdConfig;
     pub use clamshell_learn::sampling::Uncertainty;
