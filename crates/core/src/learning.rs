@@ -90,7 +90,8 @@ pub struct LearningConfig {
     pub decision_per_point_secs: f64,
     /// Weight actively-selected points by `k/p` when retraining (§5.1).
     pub weight_by_ratio: bool,
-    /// Evaluate & record a curve point after each retrain.
+    /// Seed for the train/test split and the point-selection RNG. SGD
+    /// shuffles are seeded separately, by `sgd.seed`.
     pub seed: u64,
 }
 

@@ -1,6 +1,6 @@
 //! Model evaluation: accuracy, splits, and learning curves.
 
-use crate::linalg::Matrix;
+use crate::linalg::{argmax, Matrix};
 use crate::model::Classifier;
 use clamshell_sim::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,9 @@ pub fn accuracy<C: Classifier + ?Sized>(
     if rows.is_empty() {
         return 0.0;
     }
-    let correct = rows.iter().zip(labels).filter(|(&r, &y)| model.predict(x.row(r)) == y).count();
+    let k = model.n_classes() as usize;
+    let probs = model.proba_rows(x, rows);
+    let correct = probs.chunks_exact(k).zip(labels).filter(|(p, &y)| argmax(p) as u32 == y).count();
     correct as f64 / rows.len() as f64
 }
 

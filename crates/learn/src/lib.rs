@@ -9,9 +9,12 @@
 //! sits on scikit-learn (§6.1); Rust has no equivalent on the offline
 //! allow-list, so this crate implements everything needed from scratch:
 //!
-//! * [`linalg`] — minimal dense matrix/vector kernels.
+//! * [`linalg`] — minimal dense matrix/vector kernels, including four-wide
+//!   `dot4`/`axpy4` that return exactly the bits of the scalar ones.
 //! * [`model`] — the [`model::Classifier`] trait (probabilistic,
-//!   weight-aware) shared by all learners and the selection strategies.
+//!   weight-aware, with batched scoring through
+//!   [`model::Classifier::proba_rows`]) shared by all learners and the
+//!   selection strategies.
 //! * [`logistic`] — binary logistic regression via mini-batch SGD + L2.
 //! * [`softmax`] — multinomial logistic regression (the 10-class digits
 //!   task).

@@ -4,7 +4,7 @@
 //! and generated binary problems). Matches the role scikit-learn's
 //! `LogisticRegression`/`SGDClassifier` plays in the paper's stack.
 
-use crate::linalg::{axpy, dot, sigmoid, Matrix};
+use crate::linalg::{dot, sigmoid, Matrix};
 use crate::model::{Classifier, Example, SgdConfig};
 use clamshell_sim::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -60,21 +60,32 @@ impl Classifier for LogisticRegression {
         let mean_w: f64 = examples.iter().map(|e| e.weight).sum::<f64>() / examples.len() as f64;
         let wnorm = if mean_w > 0.0 { 1.0 / mean_w } else { 1.0 };
 
+        // Scratch buffers, sized once for the largest mini-batch.
+        let cap = self.config.batch_size.min(examples.len());
+        let mut rows: Vec<usize> = Vec::with_capacity(cap);
+        let mut z = vec![0.0; cap];
+        let mut terms: Vec<(f64, usize)> = Vec::with_capacity(cap);
+        let mut gw = vec![0.0; d];
+
         for _epoch in 0..self.config.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(self.config.batch_size) {
-                // Accumulate the mini-batch gradient.
-                let mut gw = vec![0.0; d];
-                let mut gb = 0.0;
-                for &i in chunk {
+                // Forward: the whole mini-batch sees the same weights.
+                rows.clear();
+                rows.extend(chunk.iter().map(|&i| examples[i].row));
+                let z = &mut z[..chunk.len()];
+                x.dot_rows(&self.weights, &rows, z);
+                terms.clear();
+                for (&i, &zi) in chunk.iter().zip(z.iter()) {
                     let ex = examples[i];
                     debug_assert!(ex.label < 2, "binary learner got label {}", ex.label);
-                    let row = x.row(ex.row);
-                    let p = sigmoid(dot(&self.weights, row) + self.bias);
-                    let err = (p - ex.label as f64) * ex.weight * wnorm;
-                    axpy(err, row, &mut gw);
-                    gb += err;
+                    let p = sigmoid(zi + self.bias);
+                    terms.push(((p - ex.label as f64) * ex.weight * wnorm, ex.row));
                 }
+                // Backward: accumulate the mini-batch gradient in example order.
+                gw.fill(0.0);
+                x.axpy_rows(&terms, &mut gw);
+                let gb = terms.iter().fold(0.0, |s, t| s + t.0);
                 let inv = 1.0 / chunk.len() as f64;
                 // L2 on weights only (standard practice: bias unregularized).
                 let shrink = 1.0 - lr * self.config.l2;
@@ -91,6 +102,20 @@ impl Classifier for LogisticRegression {
     fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
         let p1 = self.proba_positive(features);
         vec![1.0 - p1, p1]
+    }
+
+    fn proba_rows(&self, x: &Matrix, rows: &[usize]) -> Vec<f64> {
+        if !self.fitted || self.weights.is_empty() {
+            return vec![0.5; 2 * rows.len()];
+        }
+        let mut z = vec![0.0; rows.len()];
+        x.dot_rows(&self.weights, rows, &mut z);
+        z.into_iter()
+            .flat_map(|zi| {
+                let p1 = sigmoid(zi + self.bias);
+                [1.0 - p1, p1]
+            })
+            .collect()
     }
 
     fn n_classes(&self) -> u32 {

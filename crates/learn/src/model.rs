@@ -1,6 +1,6 @@
 //! The classifier abstraction shared by learners and selection strategies.
 
-use crate::linalg::{argmax, Matrix};
+use crate::linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// One training example: a row of the feature matrix, its (crowd-provided)
@@ -73,13 +73,14 @@ pub trait Classifier {
     /// Class-probability vector for a feature row (length `n_classes`).
     fn predict_proba(&self, features: &[f64]) -> Vec<f64>;
 
+    /// Class probabilities for each of `rows` of `x`, row-major
+    /// (`rows.len() × n_classes`). Bit-identical to calling
+    /// [`Classifier::predict_proba`] on each row, but batched: all rows
+    /// share one model, so learners score several rows (or heads) per pass.
+    fn proba_rows(&self, x: &Matrix, rows: &[usize]) -> Vec<f64>;
+
     /// Number of classes.
     fn n_classes(&self) -> u32;
-
-    /// Hard prediction: argmax of `predict_proba`.
-    fn predict(&self, features: &[f64]) -> u32 {
-        argmax(&self.predict_proba(features)) as u32
-    }
 
     /// Whether the model has been fit at least once with a non-empty
     /// training set.

@@ -77,10 +77,10 @@ pub fn select_uncertain<C: Classifier + ?Sized>(
     } else {
         rng.sample_indices(unlabeled.len(), sample_size).into_iter().map(|i| unlabeled[i]).collect()
     };
-    let mut scored: Vec<(f64, usize)> = cand
-        .into_iter()
-        .map(|row| (measure.score(&model.predict_proba(x.row(row))), row))
-        .collect();
+    let n_classes = model.n_classes() as usize;
+    let probs = model.proba_rows(x, &cand);
+    let mut scored: Vec<(f64, usize)> =
+        probs.chunks_exact(n_classes).zip(cand).map(|(p, row)| (measure.score(p), row)).collect();
     // Highest uncertainty first; tie-break on row id for determinism.
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     scored.truncate(k);

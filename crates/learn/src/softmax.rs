@@ -1,7 +1,7 @@
 //! Multinomial (softmax) logistic regression for multi-class tasks —
 //! the 10-class MNIST-like digits dataset in particular.
 
-use crate::linalg::{dot, softmax_into, Matrix};
+use crate::linalg::{dot, dot4, softmax_into, Matrix};
 use crate::model::{Classifier, Example, SgdConfig};
 use clamshell_sim::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -32,14 +32,37 @@ impl SoftmaxRegression {
         }
     }
 
+    /// Row-major `n_classes × d` weights (empty until fit).
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Per-class bias terms (empty until fit).
+    pub fn bias(&self) -> &[f64] {
+        &self.bias
+    }
+
     #[inline]
     fn class_weights(&self, c: usize) -> &[f64] {
         &self.weights[c * self.dims..(c + 1) * self.dims]
     }
 
+    /// The one forward pass: every head scores the same row, so heads go
+    /// through [`dot4`] four at a time.
     fn logits_into(&self, features: &[f64], out: &mut [f64]) {
-        for (c, logit) in out.iter_mut().enumerate().take(self.n_classes as usize) {
-            *logit = dot(self.class_weights(c), features) + self.bias[c];
+        let k = self.n_classes as usize;
+        let (quads, tail) = out[..k].as_chunks_mut::<4>();
+        for (q, o) in quads.iter_mut().enumerate() {
+            let c = 4 * q;
+            let heads = [c, c + 1, c + 2, c + 3].map(|h| self.class_weights(h));
+            let z = dot4(features, heads);
+            for (l, o) in o.iter_mut().enumerate() {
+                *o = z[l] + self.bias[c + l];
+            }
+        }
+        let c0 = k - tail.len();
+        for (c, o) in (c0..k).zip(tail) {
+            *o = dot(self.class_weights(c), features) + self.bias[c];
         }
     }
 }
@@ -61,15 +84,21 @@ impl Classifier for SoftmaxRegression {
         let mean_w: f64 = examples.iter().map(|e| e.weight).sum::<f64>() / examples.len() as f64;
         let wnorm = if mean_w > 0.0 { 1.0 / mean_w } else { 1.0 };
 
+        // Scratch buffers, sized once for the largest mini-batch.
+        let cap = self.config.batch_size.min(examples.len());
         let mut logits = vec![0.0; k];
-        let mut probs = vec![0.0; k];
+        let mut errs = vec![0.0; cap * k];
+        let mut terms: Vec<(f64, usize)> = Vec::with_capacity(cap);
+        let mut gw = vec![0.0; k * d];
+        let mut gb = vec![0.0; k];
 
         for _epoch in 0..self.config.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(self.config.batch_size) {
-                let mut gw = vec![0.0; k * d];
-                let mut gb = vec![0.0; k];
-                for &i in chunk {
+                // Forward: the whole mini-batch sees the same weights.
+                // `errs` holds p − onehot(y), scaled by the example weight.
+                let errs = &mut errs[..chunk.len() * k];
+                for (&i, err) in chunk.iter().zip(errs.chunks_exact_mut(k)) {
                     let ex = examples[i];
                     debug_assert!(
                         ex.label < self.n_classes,
@@ -77,24 +106,26 @@ impl Classifier for SoftmaxRegression {
                         ex.label,
                         self.n_classes
                     );
-                    let row = x.row(ex.row);
-                    // Forward.
-                    for (c, logit) in logits.iter_mut().enumerate().take(k) {
-                        *logit = dot(&self.weights[c * d..(c + 1) * d], row) + self.bias[c];
-                    }
-                    softmax_into(&logits, &mut probs);
-                    // Backward: grad = (p - onehot(y)) ⊗ row.
+                    self.logits_into(x.row(ex.row), &mut logits);
+                    softmax_into(&logits, err);
                     let w = ex.weight * wnorm;
-                    for c in 0..k {
-                        let err = (probs[c] - (c as u32 == ex.label) as u8 as f64) * w;
-                        if err != 0.0 {
-                            let gwc = &mut gw[c * d..(c + 1) * d];
-                            for (g, &xi) in gwc.iter_mut().zip(row) {
-                                *g += err * xi;
-                            }
-                            gb[c] += err;
+                    for (c, e) in err.iter_mut().enumerate() {
+                        *e = (*e - (c as u32 == ex.label) as u8 as f64) * w;
+                    }
+                }
+                // Backward: grad = (p − onehot(y)) ⊗ row, per head in
+                // example order. A zero error adds nothing, not even a
+                // signed zero, so it never becomes a term.
+                gw.fill(0.0);
+                for c in 0..k {
+                    terms.clear();
+                    for (&i, err) in chunk.iter().zip(errs.chunks_exact(k)) {
+                        if err[c] != 0.0 {
+                            terms.push((err[c], examples[i].row));
                         }
                     }
+                    x.axpy_rows(&terms, &mut gw[c * d..(c + 1) * d]);
+                    gb[c] = terms.iter().fold(0.0, |s, t| s + t.0);
                 }
                 let inv = 1.0 / chunk.len() as f64;
                 let shrink = 1.0 - lr * self.config.l2;
@@ -122,6 +153,20 @@ impl Classifier for SoftmaxRegression {
         probs
     }
 
+    fn proba_rows(&self, x: &Matrix, rows: &[usize]) -> Vec<f64> {
+        let k = self.n_classes as usize;
+        if !self.fitted {
+            return vec![1.0 / k as f64; k * rows.len()];
+        }
+        let mut logits = vec![0.0; k];
+        let mut probs = vec![0.0; k * rows.len()];
+        for (&r, p) in rows.iter().zip(probs.chunks_exact_mut(k)) {
+            self.logits_into(x.row(r), &mut logits);
+            softmax_into(&logits, p);
+        }
+        probs
+    }
+
     fn n_classes(&self) -> u32 {
         self.n_classes
     }
@@ -135,6 +180,7 @@ impl Classifier for SoftmaxRegression {
 mod tests {
     use super::*;
     use crate::eval::accuracy;
+    use crate::linalg::argmax;
 
     /// Four well-separated Gaussian blobs in 2D.
     fn blobs4(n_per: usize, seed: u64) -> (Matrix, Vec<Example>) {
@@ -196,8 +242,8 @@ mod tests {
         }
         let mut sm = SoftmaxRegression::new(2, SgdConfig::default());
         sm.fit(&m, &ex);
-        assert_eq!(sm.predict(&[-2.0]), 0);
-        assert_eq!(sm.predict(&[2.0]), 1);
+        assert_eq!(argmax(&sm.predict_proba(&[-2.0])), 0);
+        assert_eq!(argmax(&sm.predict_proba(&[2.0])), 1);
     }
 
     #[test]

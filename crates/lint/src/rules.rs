@@ -1,4 +1,4 @@
-//! The determinism rule catalog (D001–D006) and the cross-file engine.
+//! The determinism rule catalog (D001–D007) and the cross-file engine.
 //!
 //! Scope: the rules protect the determinism-critical crates (everything
 //! a simulation draw or report byte can flow through). `crates/bench` and
