@@ -1,20 +1,24 @@
 //! The [`Grid`] builder: scenario axes × seeds → an indexed job list.
 //!
-//! A grid runs three ways, all on [`pool::execute_streaming`] and all in
-//! job-index order: [`Grid::try_run_all`] collects every report,
+//! A grid runs three ways, all on the [block pipeline](crate::pool) with
+//! cells made per block by [`Grid::jobs_range`], and all in job-index
+//! order: [`Grid::try_run_all`] collects every report,
 //! [`Grid::run_grouped`] collects them per (scenario, variant) row, and
-//! [`Grid::run_streaming`] folds them into an [`Aggregator`] without
-//! buffering. Checkpointed, resumable sweeps go through
-//! [`run_sharded`](crate::shard::run_sharded) instead.
+//! [`Grid::run_streaming`] folds them into an [`Aggregator`] with at
+//! most the pipeline's window of blocks in memory. Checkpointed,
+//! resumable sweeps go through [`run_sharded`](crate::shard::run_sharded),
+//! the same pipeline with a checkpointing sink.
 
 use crate::aggregate::Aggregator;
 use crate::job::Job;
-use crate::pool::{self, ExecStatus};
+use crate::pool::{self, ExecStatus, Plan};
 use crate::threads;
 use clamshell_core::metrics::RunReport;
 use clamshell_core::task::TaskSpec;
 use clamshell_core::{PoolConfig, RunConfig};
 use clamshell_trace::Population;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Why a grid cannot run: structural problems caught *before* any job is
@@ -376,12 +380,19 @@ impl Grid {
     /// [`threads::resolve`] (`CLAMSHELL_THREADS`, else available
     /// parallelism).
     ///
-    /// Cells run on [`pool::execute_streaming`], with the calling thread
-    /// as worker 0, and results merge in job-index order, so reports are
-    /// byte-identical to a serial run at any thread count.
+    /// Cells run on the [block pipeline](crate::pool) with no window and
+    /// the calling thread as worker 0, and results merge in job-index
+    /// order, so reports are byte-identical to a serial run at any thread
+    /// count.
     pub fn try_run_all(&self, threads: Option<usize>) -> Result<Vec<RunReport>, GridError> {
         self.validate()?;
-        Ok(pool::map(self.jobs(), threads::resolve(threads), |_, _, job: Job| job.run()))
+        let mut reports = Vec::with_capacity(self.n_jobs());
+        let plan = Plan::whole(self.n_jobs(), threads::resolve(threads));
+        let ControlFlow::Continue(()) = self.execute(plan, false, &mut |_, report| {
+            reports.push(report);
+            ControlFlow::<Infallible>::Continue(())
+        });
+        Ok(reports)
     }
 
     /// [`Self::try_run_all`], grouped by row: `out[r][k]` is the `r`-th
@@ -394,9 +405,10 @@ impl Grid {
         Ok((0..rows).map(|_| reports.by_ref().take(self.n_seeds()).collect()).collect())
     }
 
-    /// Stream the grid through `agg` without buffering reports: each
-    /// report is handed to the aggregator in enumeration order as soon
-    /// as its prefix is complete, then dropped.
+    /// Stream the grid through `agg`: each report is handed to the
+    /// aggregator in enumeration order as soon as its prefix is complete,
+    /// then dropped. The pipeline's window bounds the reports (and cells)
+    /// in memory, so peak memory does not grow with the grid.
     ///
     /// # Panics
     ///
@@ -406,11 +418,28 @@ impl Grid {
         if let Err(e) = self.validate() {
             panic!("invalid grid: {e}");
         }
-        pool::execute_streaming(
-            self.jobs(),
-            threads::resolve(threads),
+        let plan = Plan::whole(self.n_jobs(), threads::resolve(threads));
+        let ControlFlow::Continue(()) = self.execute(plan, true, &mut |index, report| {
+            agg.consume(&self.meta(index), &report);
+            ControlFlow::<Infallible>::Continue(())
+        });
+        ExecStatus { completed: self.n_jobs(), total: self.n_jobs() }
+    }
+
+    /// Run `plan`'s cells on [`pool::pipeline`], each block made by
+    /// [`Self::jobs_range`] on the thread that claimed it.
+    pub(crate) fn execute<B>(
+        &self,
+        plan: Plan,
+        windowed: bool,
+        sink: &mut dyn FnMut(usize, RunReport) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        pool::pipeline(
+            plan,
+            windowed,
+            |lo, hi| self.jobs_range(lo, hi),
             |_, _, job: Job| job.run(),
-            &mut |index, report| agg.consume(&self.meta(index), &report),
+            sink,
         )
     }
 }

@@ -14,11 +14,13 @@
 //!
 //! ## Layers
 //!
-//! * [`pool`] — the generic scatter/gather executor: runs any
-//!   `Fn(worker, index, T) -> R` over a job list on the calling thread
-//!   (worker 0) plus scoped helpers that claim items from one shared
-//!   cursor, streaming `(index, result)` pairs through a reorder buffer
-//!   so consumers observe index order.
+//! * [`pool`] — the crate's one executor, a block pipeline: the calling
+//!   thread (worker 0) and scoped helpers claim contiguous blocks of
+//!   cells from one cursor, make and run each block on the claiming
+//!   thread, and hand results through a reorder buffer to a sink on the
+//!   calling thread in index order. [`pool::map`] is that executor with
+//!   a collecting sink; every [`Grid`] run method and [`run_sharded`] are
+//!   it with cells made per block by [`Grid::jobs_range`].
 //! * [`job`] — the concrete sweep job: `(RunConfig, task specs, seed)`
 //!   plus its population and batch size, evaluated via
 //!   [`run_batched`](clamshell_core::runner::run_batched).
@@ -27,10 +29,10 @@
 //! * [`aggregate`] — streaming per-cell statistics on
 //!   [`OnlineStats`](clamshell_sim::stats::OnlineStats), so million-cell
 //!   sweeps never buffer every [`RunReport`](clamshell_core::metrics::RunReport).
-//! * [`shard`] — mega-sweep scale-out: [`run_sharded`] walks the grid
-//!   in bounded chunks with an FNV-chained checkpoint manifest, so a
-//!   killed million-cell sweep resumes at the last completed shard with
-//!   bit-identical final statistics.
+//! * [`shard`] — mega-sweep scale-out: [`run_sharded`] folds the grid
+//!   through the pipeline and appends an FNV-chained checkpoint manifest
+//!   line per shard, so a killed million-cell sweep resumes at the last
+//!   completed shard with bit-identical final statistics.
 //! * [`progress`] — cancellation tokens and completion callbacks for
 //!   [`run_sharded`].
 //! * [`threads`] — thread-count resolution (see below).
@@ -74,7 +76,7 @@
 //! assert_eq!(grouped.len(), 2);
 //! assert_eq!(grouped[0].len(), 3);
 //!
-//! // Or stream into per-scenario statistics without buffering reports.
+//! // Or stream into per-scenario statistics in bounded memory.
 //! let mut agg = MetricsAggregator::new(grid.n_scenarios(), Metric::standard());
 //! grid.run_streaming(Some(2), &mut agg);
 //! assert_eq!(agg.stats(0, "total_secs").count(), 3);
@@ -92,6 +94,6 @@ pub mod threads;
 
 pub use aggregate::{Aggregator, Metric, MetricsAggregator, ObsAggregator};
 pub use grid::{Grid, GridError, JobMeta, Scenario};
-pub use pool::{execute_streaming, ExecStatus};
+pub use pool::ExecStatus;
 pub use progress::{CancelToken, ProgressFn};
 pub use shard::{run_sharded, ShardError, ShardOptions, ShardOutcome};

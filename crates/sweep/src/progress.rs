@@ -5,10 +5,12 @@ use std::sync::Arc;
 
 /// A shareable cancellation flag.
 ///
-/// Workers check the token before starting each job: a cancelled sweep
-/// finishes its in-flight jobs, skips everything still queued, and
-/// returns partial results. Cloning is cheap (an `Arc` handle); all
-/// clones observe the same flag.
+/// [`run_sharded`](crate::run_sharded) checks the token before it starts
+/// and after folding each cell: a cancel stops the fold at once, so the
+/// sweep returns with exactly the cells folded so far. Helper threads
+/// stop at their next block claim, and the results they still have in
+/// flight are dropped. Cloning is cheap (an `Arc` handle); all clones
+/// observe the same flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 

@@ -12,15 +12,16 @@
 //!
 //! ## Shards are checkpoint boundaries, not barriers
 //!
-//! Everything after the resumed prefix runs as one pipelined pass. The
-//! calling thread is worker 0: it claims blocks, runs them, folds every
-//! report, and appends a shard's checkpoint as soon as the fold crosses
-//! that shard's end. `threads - 1` scoped helper threads,
-//! spawned once per sweep, claim blocks from the same cursor and hand
-//! each block's reports back in one message. No thread waits at a shard
-//! boundary, so one thread's checkpoint sync overlaps the others'
-//! simulation; at one thread the sweep is a plain serial loop that folds
-//! each report as it is produced, with no channel and no extra thread.
+//! Everything after the resumed prefix runs as one windowed pass of the
+//! crate's one executor, the [block pipeline](crate::pool), with the
+//! fold as its sink. The calling thread is worker 0: it runs blocks,
+//! folds every report in index order, and appends a shard's checkpoint
+//! as soon as the fold crosses that shard's end. `threads - 1` scoped
+//! helpers, spawned once per sweep, run blocks too and hand each
+//! block's reports back in one message. Blocks never cross a shard
+//! boundary, and no thread waits at one, so one thread's checkpoint sync
+//! overlaps the others' simulation; at one thread the sweep is a plain
+//! serial loop that folds each report as it is produced.
 //!
 //! No block is claimed `4 × threads` or more blocks past the first one
 //! not yet folded, so at most that many blocks of reports wait to be
@@ -33,11 +34,11 @@
 //! values one at a time (floating-point rounding differs). Per-shard
 //! aggregators merged at the end would therefore drift from the
 //! unsharded reference by a few ULPs — enough to break the workspace's
-//! byte-identity contract. The sharded executor sidesteps this entirely:
-//! a reorder buffer releases finished blocks in index order, and every
-//! report is pushed into the *same* cumulative aggregator on the calling
-//! thread. Sharding (and thread count, and resume) then cannot change a
-//! single bit of the result.
+//! byte-identity contract. The fold sidesteps this entirely: the
+//! pipeline delivers reports in index order, and every report is pushed
+//! into the *same* cumulative aggregator on the calling thread. Sharding
+//! (and thread count, and resume) then cannot change a single bit of
+//! the result.
 //!
 //! ## The shard manifest
 //!
@@ -82,7 +83,10 @@
 //! the file back to the last newline, and appends from there, so the
 //! finished file (and the aggregate) is byte-identical to an
 //! uninterrupted run's. A complete (newline-terminated) line that fails
-//! validation is still [`ShardError::Corrupt`].
+//! validation is still [`ShardError::Corrupt`], and so is one whose
+//! fields validate but whose bytes differ from the line this build
+//! would write for them (stray bytes, a `+` sign, a leading zero, a
+//! blank line): resuming past it could not finish byte-identical.
 //!
 //! On resume the header is validated against the live grid
 //! ([`Grid::shape_fingerprint`], shard size, job count, snapshot shape),
@@ -93,17 +97,15 @@
 
 use crate::aggregate::{Aggregator, MetricsAggregator, SnapshotShapeError};
 use crate::grid::{Grid, GridError};
-use crate::job::Job;
-use crate::pool::Reorder;
+use crate::pool::Plan;
 use crate::progress::{CancelToken, ProgressFn};
 use crate::threads;
 use clamshell_core::metrics::RunReport;
 use clamshell_obs::Fnv;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Manifest schema version written and accepted by this build.
 pub const MANIFEST_VERSION: u64 = 1;
@@ -502,6 +504,9 @@ fn parse_manifest(
             return Err(ShardError::Incompatible { field, manifest: got, expected });
         }
     }
+    if first != header.render() {
+        return Err(corrupt(path, 1, "header is not in canonical form"));
+    }
 
     let mut fp = header.chain_seed();
     let mut shards = 0;
@@ -511,9 +516,6 @@ fn parse_manifest(
         lineno += 1;
         end += buf.len() as u64 + 1;
         let line = std::str::from_utf8(&buf).map_err(|_| corrupt(path, lineno, "not UTF-8"))?;
-        if line.is_empty() {
-            continue;
-        }
         let shard =
             take_u64(line, "shard").ok_or_else(|| corrupt(path, lineno, "missing \"shard\""))?;
         if shard != shards as u64 {
@@ -548,118 +550,16 @@ fn parse_manifest(
         if got_fp != want_fp {
             return Err(corrupt(path, lineno, "fingerprint chain broken"));
         }
+        // The scanners skip bytes around the fields they read, so only a
+        // line as the writer renders it resumes to a byte-identical file.
+        if line != render_shard_line(shard, lo, hi, &cells, got_fp) {
+            return Err(corrupt(path, lineno, "line is not in canonical form"));
+        }
         fp = got_fp;
         shards += 1;
         last_cells = Some(cells);
     }
     Ok(Some(Resumed { shards, fp, last_cells, end }))
-}
-
-/// Most cells in one block: a thread materializes, runs and hands back
-/// at most this many cells at a time, whatever the shard size.
-const MAX_BLOCK: usize = 64;
-
-/// Blocks per thread that may be claimed past the first unfolded one:
-/// the slack that lets helpers run on while the calling thread syncs a
-/// checkpoint, and the bound on reports waiting to be folded.
-const WINDOW_PER_THREAD: usize = 4;
-
-/// How the unrecorded cells `start..n_jobs` split into blocks: each
-/// shard into `per_shard` blocks of at most `block` cells, so no block
-/// crosses a shard boundary. `start` is a shard boundary.
-#[derive(Debug, Clone, Copy)]
-struct Blocks {
-    start: usize,
-    n_jobs: usize,
-    shard_size: usize,
-    block: usize,
-    per_shard: usize,
-}
-
-impl Blocks {
-    fn new(start: usize, n_jobs: usize, shard_size: usize) -> Self {
-        let per_shard = shard_size.div_ceil(MAX_BLOCK);
-        Blocks { start, n_jobs, shard_size, block: shard_size.div_ceil(per_shard), per_shard }
-    }
-
-    fn len(&self) -> usize {
-        let cells = self.n_jobs - self.start;
-        cells / self.shard_size * self.per_shard + (cells % self.shard_size).div_ceil(self.block)
-    }
-
-    /// The cells of block `k`.
-    fn range(&self, k: usize) -> (usize, usize) {
-        let shard_lo = self.start + k / self.per_shard * self.shard_size;
-        let lo = shard_lo + k % self.per_shard * self.block;
-        (lo, (lo + self.block).min(shard_lo + self.shard_size).min(self.n_jobs))
-    }
-}
-
-/// A block's reports, in cell order, keyed by block number.
-type Done = (usize, Vec<RunReport>);
-
-/// The fold frontier (the first block not yet folded) as the helpers see
-/// it: no helper starts a block `window` or more past it.
-struct Gate {
-    state: Mutex<GateState>,
-    moved: Condvar,
-    window: usize,
-}
-
-#[derive(Default)]
-struct GateState {
-    frontier: usize,
-    stopped: bool,
-    waiting: usize,
-}
-
-impl Gate {
-    /// Every update under the lock is a single field store, so a guard
-    /// recovered from a poisoned lock is still consistent.
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wait until block `k` is inside the window; `false` if the sweep
-    /// stopped instead.
-    fn admit(&self, k: usize) -> bool {
-        let mut s = self.lock();
-        while k >= s.frontier + self.window && !s.stopped {
-            s.waiting += 1;
-            s = self.moved.wait(s).unwrap_or_else(PoisonError::into_inner);
-            s.waiting -= 1;
-        }
-        !s.stopped
-    }
-
-    fn advance(&self, frontier: usize) {
-        let mut s = self.lock();
-        s.frontier = frontier;
-        if s.waiting > 0 {
-            self.moved.notify_all();
-        }
-    }
-
-    fn stop(&self) {
-        self.lock().stopped = true;
-        self.moved.notify_all();
-    }
-}
-
-/// Stops the gate when dropped: always for the calling thread, which
-/// only leaves when the sweep ends, and for a helper only when it
-/// panics, so its peers cannot wait on a frontier that will never move.
-struct StopOnDrop<'a> {
-    gate: &'a Gate,
-    always: bool,
-}
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.always || std::thread::panicking() {
-            self.gate.stop();
-        }
-    }
 }
 
 /// The calling thread's fold: every report into the one cumulative
@@ -772,8 +672,24 @@ pub fn run_sharded(
         shards: resumed_shards,
         fp,
     };
-    let blocks = Blocks::new(start, n_jobs, opts.shard_size);
-    pipeline(grid, blocks, threads::resolve(opts.threads), cancel, &mut fold)?;
+    let plan = Plan {
+        start,
+        end: n_jobs,
+        shard: opts.shard_size,
+        threads: threads::resolve(opts.threads),
+    };
+    let flow = if cancel.is_cancelled() {
+        ControlFlow::Continue(())
+    } else {
+        grid.execute(plan, true, &mut |_, report| match fold.push(&report) {
+            Err(e) => ControlFlow::Break(Some(e)),
+            Ok(()) if cancel.is_cancelled() => ControlFlow::Break(None),
+            Ok(()) => ControlFlow::Continue(()),
+        })
+    };
+    if let ControlFlow::Break(Some(e)) = flow {
+        return Err(e);
+    }
     fold.manifest.sync()?;
 
     Ok(ShardOutcome {
@@ -783,146 +699,6 @@ pub fn run_sharded(
         shards_completed: fold.shards,
         n_shards,
         resumed_shards,
-    })
-}
-
-/// What the calling thread and the helpers share: the blocks to run and
-/// the cursor they are claimed from, in increasing order. The cursor is
-/// `Relaxed`: a claim only names a block, and reports travel over the
-/// channel, which orders them.
-struct Work<'a> {
-    grid: &'a Grid,
-    blocks: Blocks,
-    n_blocks: usize,
-    cursor: AtomicUsize,
-    gate: Gate,
-    cancel: &'a CancelToken,
-}
-
-impl Work<'_> {
-    /// Claim the next block, if any is left.
-    fn claim(&self) -> Option<usize> {
-        Some(self.cursor.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < self.n_blocks)
-    }
-
-    /// Materialize block `k`'s cells.
-    fn jobs(&self, k: usize) -> Vec<Job> {
-        let (lo, hi) = self.blocks.range(k);
-        self.grid.jobs_range(lo, hi)
-    }
-
-    /// A helper's loop: claim, wait for the window, run, hand back.
-    fn help(&self, tx: mpsc::SyncSender<Done>) {
-        let _stop = StopOnDrop { gate: &self.gate, always: false };
-        while !self.cancel.is_cancelled() {
-            let Some(k) = self.claim() else { break };
-            if !self.gate.admit(k) {
-                break;
-            }
-            let reports = self.jobs(k).iter().map(Job::run).collect();
-            // A send fails only once the calling thread has left the fold.
-            if tx.send((k, reports)).is_err() {
-                break;
-            }
-        }
-    }
-
-    /// The calling thread's loop: fold whatever blocks are ready, then
-    /// claim and run a block itself (folding it as it goes when it is the
-    /// next one to fold), or wait for a helper's block when none may be
-    /// claimed.
-    fn lead(
-        &self,
-        fold: &mut Fold<'_, '_>,
-        rx: Option<&mpsc::Receiver<Done>>,
-    ) -> Result<(), ShardError> {
-        let mut reorder = Reorder::new();
-        loop {
-            while let Some(Ok((k, reports))) = rx.map(mpsc::Receiver::try_recv) {
-                reorder.park(k, reports);
-            }
-            while let Some((_, reports)) = reorder.pop() {
-                for report in &reports {
-                    fold.push(report)?;
-                    if self.cancel.is_cancelled() {
-                        return Ok(());
-                    }
-                }
-                self.gate.advance(reorder.next());
-            }
-            let next = reorder.next();
-            if next == self.n_blocks || self.cancel.is_cancelled() {
-                return Ok(());
-            }
-            let in_window = self.cursor.load(Ordering::Relaxed) < next + self.gate.window;
-            let claimed = if in_window { self.claim() } else { None };
-            if let Some(k) = claimed {
-                let jobs = self.jobs(k);
-                if k == next {
-                    for job in &jobs {
-                        fold.push(&job.run())?;
-                        if self.cancel.is_cancelled() {
-                            return Ok(());
-                        }
-                    }
-                    reorder.skip();
-                    self.gate.advance(reorder.next());
-                } else {
-                    reorder.park(k, jobs.iter().map(Job::run).collect());
-                }
-                continue;
-            }
-            // The next block is a helper's: wait for any helper's block.
-            // An error means every helper has left, which only a
-            // cancellation or a panic (re-raised when the scope joins)
-            // can cause.
-            match rx.map(mpsc::Receiver::recv) {
-                Some(Ok((k, reports))) => reorder.park(k, reports),
-                _ => return Ok(()),
-            }
-        }
-    }
-}
-
-/// Run `blocks` on the calling thread plus `threads - 1` scoped helpers,
-/// and fold every report in order on the calling thread. One thread runs
-/// a plain serial loop.
-fn pipeline(
-    grid: &Grid,
-    blocks: Blocks,
-    threads: usize,
-    cancel: &CancelToken,
-    fold: &mut Fold<'_, '_>,
-) -> Result<(), ShardError> {
-    let n_blocks = blocks.len();
-    let work = Work {
-        grid,
-        blocks,
-        n_blocks,
-        cursor: AtomicUsize::new(0),
-        gate: Gate {
-            state: Mutex::default(),
-            moved: Condvar::new(),
-            window: threads * WINDOW_PER_THREAD,
-        },
-        cancel,
-    };
-    let work = &work;
-    let helpers = threads.min(n_blocks).saturating_sub(1);
-    std::thread::scope(|scope| {
-        let rx = (helpers > 0).then(|| {
-            // Every unread block lies inside the window, so a send never
-            // blocks: a helper stops only at the gate, not while the
-            // calling thread syncs a checkpoint.
-            let (tx, rx) = mpsc::sync_channel(work.gate.window);
-            for _ in 0..helpers {
-                let tx = tx.clone();
-                scope.spawn(move || work.help(tx));
-            }
-            rx
-        });
-        let _stop = StopOnDrop { gate: &work.gate, always: true };
-        work.lead(fold, rx.as_ref())
     })
 }
 
@@ -989,24 +765,6 @@ mod tests {
     fn shard_lines(path: &Path) -> usize {
         let bytes = std::fs::read(path).unwrap();
         bytes.iter().filter(|&&b| b == b'\n').count().saturating_sub(1)
-    }
-
-    #[test]
-    fn blocks_tile_each_shard_without_crossing_it() {
-        for (start, n_jobs, shard_size) in
-            [(0, 6, 2), (0, 6, 4), (4, 6, 4), (0, 1000, 100), (200, 1000, 100), (0, 70_000, 16_384)]
-        {
-            let blocks = Blocks::new(start, n_jobs, shard_size);
-            let mut cell = start;
-            for k in 0..blocks.len() {
-                let (lo, hi) = blocks.range(k);
-                assert_eq!(lo, cell, "{blocks:?} block {k}");
-                assert!(lo < hi && hi - lo <= MAX_BLOCK, "{blocks:?} block {k}: {lo}..{hi}");
-                assert_eq!(lo / shard_size, (hi - 1) / shard_size, "{blocks:?} block {k}");
-                cell = hi;
-            }
-            assert_eq!(cell, n_jobs, "{blocks:?}");
-        }
     }
 
     #[test]
@@ -1370,6 +1128,55 @@ mod tests {
         match err {
             ShardError::Corrupt { line, .. } => assert_eq!(line, 3),
             other => panic!("expected Corrupt, got {other}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_rejects_non_canonical_lines() {
+        // Each edit keeps every field the scanners read, so only the
+        // canonical-form check can catch it; resuming past it would leave
+        // a finished manifest that differs from the uninterrupted one.
+        type Edit = fn(&mut Vec<String>);
+        let edits: [(&str, Edit, usize); 4] = [
+            ("junk after line 3", |lines| lines[2].push_str("junk"), 3),
+            (
+                "a plus sign in line 4's cells",
+                |lines| {
+                    let at = lines[3].find("\"cells\":[").unwrap() + "\"cells\":[".len();
+                    lines[3].insert(at, '+');
+                },
+                4,
+            ),
+            (
+                "a leading zero in the header",
+                |lines| lines[0] = lines[0].replacen("\"v\":1,", "\"v\":01,", 1),
+                1,
+            ),
+            ("a blank line before line 3", |lines| lines.insert(2, String::new()), 3),
+        ];
+        let g = grid();
+        let path = manifest_path("canonical");
+        let full = String::from_utf8(finished_manifest(&g, &path)).unwrap();
+        for (what, edit, want_line) in edits {
+            let mut lines: Vec<String> = full.lines().map(String::from).collect();
+            edit(&mut lines);
+            let edited = format!("{}\n", lines.join("\n"));
+            assert_ne!(edited, full, "{what}: the edit changed nothing");
+            std::fs::write(&path, &edited).unwrap();
+            let opts = ShardOptions {
+                shard_size: 2,
+                manifest: path.clone(),
+                resume: true,
+                threads: Some(1),
+            };
+            let err =
+                run_sharded(&g, &mut fresh_agg(&g), &opts, &CancelToken::new(), None).unwrap_err();
+            match err {
+                ShardError::Corrupt { line, .. } => assert_eq!(line, want_line, "{what}: {err}"),
+                other => panic!("{what}: expected Corrupt, got {other}"),
+            }
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), edited, "{what}: file touched");
         }
         let _ = std::fs::remove_file(&path);
     }

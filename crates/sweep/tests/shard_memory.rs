@@ -1,13 +1,14 @@
-//! Bounded-memory conformance for sharded sweeps: peak live heap tracks
+//! Bounded-memory conformance for folding sweeps: peak live heap tracks
 //! the shard (and the pipeline's window of in-flight blocks), not the
 //! grid.
 //!
-//! `run_sharded` materializes cells one block at a time and folds every
-//! report into one cumulative aggregator, so a sweep over 10× the cells
-//! may raise peak live bytes only by a small constant factor (allocator
-//! noise, the manifest line), not by anything close to 10×. Likewise a
-//! shard 64× larger must not buffer a shard's worth of reports: blocks
-//! never exceed a fixed cell count, whatever the shard size.
+//! `run_sharded` and `Grid::run_streaming` materialize cells one block
+//! at a time and fold every report into one aggregator, so a sweep over
+//! 10× the cells may raise peak live bytes only by a small constant
+//! factor (allocator noise, the manifest line), not by anything close to
+//! 10×. Likewise a shard 64× larger must not buffer a shard's worth of
+//! reports: blocks never exceed a fixed cell count, whatever the shard
+//! size.
 //!
 //! The fold pauses every 32 cells, so the helper thread runs ahead of
 //! it and only the pipeline's window keeps finished reports from piling
@@ -127,6 +128,19 @@ fn sweep_peak(cells: usize, shard_size: usize, threads: usize, stall: bool) -> u
     peak
 }
 
+/// Peak live-byte growth of `Grid::run_streaming` over `cells` cells on
+/// `threads` threads.
+fn streaming_peak(cells: usize, threads: usize) -> u64 {
+    let g = grid(cells, false, std::thread::current().id());
+    let mut agg = MetricsAggregator::new(g.n_scenarios(), Metric::standard());
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let status = g.run_streaming(Some(threads), &mut agg);
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+    assert!(status.is_complete(), "{cells} cells at {threads} threads: {status:?}");
+    peak
+}
+
 #[test]
 fn sharded_peak_memory_tracks_the_block_not_the_grid() {
     // Warm-up: fault the lazy population tables and allocator arenas so
@@ -161,4 +175,19 @@ fn sharded_peak_memory_tracks_the_block_not_the_grid() {
         stalled <= steady * 4,
         "peak grew behind a stalled helper: 640 cells={steady}B, 6400 cells={stalled}B"
     );
+
+    // The unsharded fold runs on the same windowed pipeline, so it too
+    // holds blocks, not the grid's cells.
+    for threads in [1, 2] {
+        let small = streaming_peak(640, threads);
+        let large = streaming_peak(6_400, threads);
+        eprintln!(
+            "run_streaming peak live bytes at {threads} threads: 640 = {small}, 6400 = {large}"
+        );
+        assert!(
+            large <= small * 4,
+            "run_streaming peak grew with the grid at {threads} threads: \
+             640 cells={small}B, 6400 cells={large}B"
+        );
+    }
 }
