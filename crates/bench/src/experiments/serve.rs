@@ -1,9 +1,9 @@
 //! `repro serve`: the streaming service-mode walkthrough.
 //!
 //! Runs the suite's service cell in open-loop streaming mode —
-//! retirement on, periodic checkpoints — renders the checkpoint
-//! dashboard, and then replays the same workload through
-//! [`run_batched`] to print the bit-for-bit equivalence witness (the
+//! retirement on, periodic checkpoints — prints each checkpoint's
+//! dashboard row as the engine emits it, and then replays the same
+//! workload through [`run_batched`] to print the bit-for-bit equivalence witness (the
 //! three [`StreamDigest`] fingerprints must match exactly). Everything
 //! on stdout is deterministic in `(seed, scenario, rate, tasks,
 //! checkpoint interval)`: CI runs `repro serve --quick` at
@@ -13,7 +13,7 @@ use crate::util::Opts;
 use clamshell_core::runner::run_batched;
 use clamshell_obs::fingerprint_hex;
 use clamshell_scenarios::{find, suite};
-use clamshell_stream::{dashboard, run_stream, source, StreamConfig, StreamDigest};
+use clamshell_stream::{dashboard, run_stream_with, source, StreamConfig, StreamDigest};
 
 /// Service-mode knobs parsed from the `repro serve` command line.
 #[derive(Debug, Clone)]
@@ -67,21 +67,25 @@ pub fn serve(opts: &Opts, args: &ServeArgs) -> Result<(), String> {
             seed
         );
         // The service run: unbounded source, bounded memory (completed
-        // state retires at every batch boundary).
-        let outcome = run_stream(
+        // state retires at every batch boundary, and each checkpoint
+        // row prints as it is emitted instead of being kept).
+        println!("{}", dashboard::header());
+        let outcome = run_stream_with(
             cfg.clone(),
             suite::population(),
             source::alternating(suite::NG as u32),
             n_tasks,
             suite::BATCH,
             &knobs,
+            |c| println!("{}", dashboard::row(c)),
         );
-        print!("{}", dashboard::render(&outcome.checkpoints));
-        println!("{}", dashboard::summary(&outcome.checkpoints));
+        println!("{}", dashboard::summary(outcome.checkpoints.last()));
 
         // The equivalence witness: the batched run over the same spec
         // prefix must fold to the same three digests the stream
-        // accumulated while retiring rows.
+        // accumulated while retiring rows. It materializes every spec
+        // and a full report on purpose, so this check is O(n) in the
+        // stream length where the stream itself is not.
         let specs = source::alternating_specs(suite::NG as u32, n_tasks);
         let batched = run_batched(cfg, suite::population(), specs, suite::BATCH);
         let streamed = outcome.digest.values();

@@ -68,10 +68,10 @@ pub fn checkpoint_suite(threads: Option<usize>) -> Vec<StreamCell> {
     outcomes
         .into_iter()
         .enumerate()
-        .map(|(i, o)| StreamCell {
+        .map(|(i, (_, checkpoints))| StreamCell {
             scenario: names[i / suite::SEEDS.len()],
             seed: suite::SEEDS[i % suite::SEEDS.len()],
-            checkpoints: o.checkpoints,
+            checkpoints,
         })
         .collect()
 }

@@ -17,7 +17,7 @@
 use clamshell_scenarios::suite;
 use clamshell_sim::arrivals::ArrivalCounter;
 use clamshell_sim::SimTime;
-use clamshell_stream::{run_stream, StreamConfig, StreamDigest};
+use clamshell_stream::{run_stream, run_stream_with, StreamConfig, StreamDigest};
 use proptest::prelude::*;
 
 /// Arrival rates spanning three orders of magnitude (strategy: sample an
@@ -91,7 +91,7 @@ proptest! {
         // ledger *at the last batch boundary*; `finish()` then settles
         // outstanding pool/reserve waiting wages, so the report's final
         // cost can only be at or above it.
-        let last = outcome.checkpoints.last().unwrap();
+        let last = outcome.checkpoints.last();
         prop_assert_eq!(last.completed as usize, job.specs.len());
         prop_assert!(last.cost_micro <= batched.cost.total_micro());
         let (dt, da, db) = outcome.digest.values();
@@ -110,22 +110,25 @@ proptest! {
     ) {
         let job = cell_job(scenario_idx, seed);
         let run = |rate: f64, retire: bool| {
-            run_stream(
+            let mut checkpoints = Vec::new();
+            run_stream_with(
                 job.cfg.clone(),
                 (*job.population).clone(),
                 job.specs.iter().cloned(),
                 job.specs.len(),
                 job.batch_size,
                 &StreamConfig { rate_per_sec: rate, checkpoint_every, retire },
-            )
+                |c| checkpoints.push(c.clone()),
+            );
+            checkpoints
         };
         let retained = run(1.5, false);
         let retiring = run(1.5, true);
-        prop_assert_eq!(&retained.checkpoints, &retiring.checkpoints);
+        prop_assert_eq!(&retained, &retiring);
 
         let fast = run(100.0, true);
-        prop_assert_eq!(retained.checkpoints.len(), fast.checkpoints.len());
-        for (a, b) in retained.checkpoints.iter().zip(&fast.checkpoints) {
+        prop_assert_eq!(retained.len(), fast.len());
+        for (a, b) in retained.iter().zip(&fast) {
             let mut masked = b.clone();
             masked.arrived = a.arrived;
             masked.backlog = a.backlog;

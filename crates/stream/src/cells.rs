@@ -4,32 +4,37 @@
 //! A sweep [`Job`] is already a pure `(RunConfig, specs, seed)` cell;
 //! streaming it just swaps the executor: each cell's spec list becomes
 //! the (finite) prefix of a task stream and runs through
-//! [`run_stream`] instead of `run_batched`. Results come back in grid
-//! enumeration order regardless of thread count
-//! ([`pool::map`] reorders), so streamed
-//! sweep output is byte-identical at any `CLAMSHELL_THREADS` — the same
-//! invariance contract the batched sweep upholds.
+//! [`run_stream_with`] instead of `run_batched`, collecting its
+//! checkpoints. Results come back in grid enumeration order regardless
+//! of thread count ([`pool::map`] reorders), so streamed sweep output
+//! is byte-identical at any `CLAMSHELL_THREADS` — the same invariance
+//! contract the batched sweep upholds.
 
-use crate::engine::{run_stream, StreamConfig, StreamOutcome};
+use crate::checkpoint::StreamCheckpoint;
+use crate::engine::{run_stream_with, StreamConfig, StreamOutcome};
 use clamshell_sweep::job::Job;
 use clamshell_sweep::pool;
 
 /// Run `jobs` in streaming mode on `threads` workers, returning one
-/// [`StreamOutcome`] per job in job-index order.
+/// [`StreamOutcome`] per job, with every checkpoint it emitted, in
+/// job-index order.
 pub fn run_jobs_streamed(
     jobs: Vec<Job>,
     threads: usize,
     stream: &StreamConfig,
-) -> Vec<StreamOutcome> {
+) -> Vec<(StreamOutcome, Vec<StreamCheckpoint>)> {
     pool::map(jobs, threads, |_, _, job: Job| {
-        run_stream(
+        let mut checkpoints = Vec::new();
+        let outcome = run_stream_with(
             job.cfg.clone(),
             (*job.population).clone(),
             job.specs.iter().cloned(),
             job.specs.len(),
             job.batch_size,
             stream,
-        )
+            |c| checkpoints.push(c.clone()),
+        );
+        (outcome, checkpoints)
     })
 }
 
@@ -68,8 +73,9 @@ mod tests {
         let one = run_jobs_streamed(jobs(5), 1, &stream);
         let four = run_jobs_streamed(jobs(5), 4, &stream);
         assert_eq!(one.len(), 5);
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.checkpoints, b.checkpoints);
+        for ((a, a_seen), (b, b_seen)) in one.iter().zip(&four) {
+            assert_eq!(a_seen, b_seen);
+            assert_eq!(a_seen.len(), a.checkpoints.len());
             assert_eq!(a.digest.values(), b.digest.values());
         }
     }

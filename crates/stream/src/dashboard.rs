@@ -1,4 +1,5 @@
-//! Deterministic plain-text rendering of a checkpoint sequence.
+//! Deterministic plain-text rendering of a checkpoint sequence, one
+//! line at a time so a caller prints each row as the engine emits it.
 //!
 //! Shared by `repro serve` and the `streaming_dashboard` example so the
 //! CLI walkthrough in the README, the example's output, and the CI
@@ -8,13 +9,10 @@
 
 use crate::checkpoint::StreamCheckpoint;
 use clamshell_obs::fingerprint_hex;
-use std::fmt::Write as _;
 
-/// Render `checkpoints` as a fixed-width table, one row per snapshot.
-pub fn render(checkpoints: &[StreamCheckpoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+/// The table's header line (no trailing newline), aligned with [`row`].
+pub fn header() -> String {
+    format!(
         "{:>4} {:>9} {:>8} {:>9} {:>10} {:>8} {:>8} {:>7} {:>11}  task_digest",
         "seq",
         "t_ms",
@@ -25,37 +23,34 @@ pub fn render(checkpoints: &[StreamCheckpoint]) -> String {
         "batches",
         "workers",
         "cost_micro"
-    );
-    for c in checkpoints {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>9} {:>8} {:>9} {:>10} {:>8} {:>8} {:>7} {:>11}  {}",
-            c.seq,
-            c.at_ms,
-            c.arrived,
-            c.admitted,
-            c.completed,
-            c.backlog,
-            c.batches,
-            c.recruited,
-            c.cost_micro,
-            fingerprint_hex(c.digest_tasks)
-        );
-    }
-    out
+    )
 }
 
-/// One-line summary of a finished stream (the table's closing line in
-/// `repro serve` output).
-pub fn summary(checkpoints: &[StreamCheckpoint]) -> String {
-    match checkpoints.last() {
-        None => "stream: no checkpoints".to_string(),
-        Some(c) => format!(
-            "stream: {} tasks in {} batches over {} ms, {} labels ({} correct), \
-             cost {} micro-usd, final backlog {}",
-            c.completed, c.batches, c.at_ms, c.labels, c.labels_correct, c.cost_micro, c.backlog
-        ),
-    }
+/// One fixed-width table line (no trailing newline) for checkpoint `c`.
+pub fn row(c: &StreamCheckpoint) -> String {
+    format!(
+        "{:>4} {:>9} {:>8} {:>9} {:>10} {:>8} {:>8} {:>7} {:>11}  {}",
+        c.seq,
+        c.at_ms,
+        c.arrived,
+        c.admitted,
+        c.completed,
+        c.backlog,
+        c.batches,
+        c.recruited,
+        c.cost_micro,
+        fingerprint_hex(c.digest_tasks)
+    )
+}
+
+/// One-line summary of a finished stream from its final checkpoint `c`
+/// (the table's closing line in `repro serve` output).
+pub fn summary(c: &StreamCheckpoint) -> String {
+    format!(
+        "stream: {} tasks in {} batches over {} ms, {} labels ({} correct), \
+         cost {} micro-usd, final backlog {}",
+        c.completed, c.batches, c.at_ms, c.labels, c.labels_correct, c.cost_micro, c.backlog
+    )
 }
 
 #[cfg(test)]
@@ -88,20 +83,19 @@ mod tests {
     }
 
     #[test]
-    fn render_is_one_line_per_checkpoint_plus_header() {
-        let text = render(&[ckpt(0), ckpt(1)]);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+    fn header_and_rows_are_single_aligned_lines() {
+        let lines = [header(), row(&ckpt(0)), row(&ckpt(1))];
+        assert!(lines.iter().all(|l| !l.contains('\n')));
         assert!(lines[0].contains("seq") && lines[0].contains("task_digest"));
         assert!(lines[1].contains("fnv1a:00000000deadbeef"));
         // Fixed-width: data rows align with the header.
+        assert_eq!(lines[0].find("task_digest"), lines[1].find("fnv1a"));
         assert_eq!(lines[1].find("fnv1a"), lines[2].find("fnv1a"));
     }
 
     #[test]
     fn summary_reports_the_final_checkpoint() {
-        let s = summary(&[ckpt(0), ckpt(3)]);
+        let s = summary(&ckpt(3));
         assert!(s.contains("32 tasks in 4 batches"), "{s}");
-        assert_eq!(summary(&[]), "stream: no checkpoints");
     }
 }

@@ -1,6 +1,6 @@
 //! The open-loop streaming service loop.
 //!
-//! [`run_stream`] drives the same deterministic [`Runner`] that
+//! [`run_stream_with`] drives the same deterministic [`Runner`] that
 //! [`run_batched`](clamshell_core::runner::run_batched) uses, ingesting
 //! tasks incrementally from an unbounded source. Chunk sizes come from
 //! the shared [`BatchSizer`], so batch boundaries — and therefore every
@@ -10,6 +10,11 @@
 //! — and feed only checkpoint reporting; they never gate
 //! admission, which is precisely why the equivalence contract holds at
 //! any target rate.
+//!
+//! Checkpoints go to the caller's sink as they are emitted; the engine
+//! keeps only their count and the latest one ([`CheckpointTally`]), so
+//! its memory does not grow with the stream, checkpoints included.
+//! [`run_stream`] is the same loop with a sink that drops every row.
 //!
 //! This file is hot-path library code under the determinism linter's
 //! D006 rule: no `unwrap`/`expect` — invariants are `assert!`ed with
@@ -33,11 +38,14 @@ pub struct StreamConfig {
     /// Emit a [`StreamCheckpoint`] at the first batch boundary at which
     /// at least this many tasks completed since the previous snapshot.
     pub checkpoint_every: usize,
-    /// Retire completed-task state at every batch boundary, keeping
-    /// memory bounded by the largest single batch instead of the whole
-    /// stream. The final report's row vectors come back empty (the
-    /// rows were streamed out through the digest); scalars, checkpoints,
-    /// and digests are byte-identical to retained mode.
+    /// Retire completed-task state at every batch boundary. The
+    /// engine's live state is then one batch of task state plus fixed
+    /// tables plus the latest checkpoint, whatever the stream length
+    /// (each checkpoint goes to the caller's sink as it is emitted;
+    /// only the latest is kept). The final report's row vectors come
+    /// back empty (the rows were streamed out through the digest);
+    /// scalars, checkpoints, and digests are byte-identical to retained
+    /// mode, which keeps every row and so grows with the stream.
     pub retire: bool,
 }
 
@@ -47,7 +55,9 @@ impl Default for StreamConfig {
     }
 }
 
-/// Everything a streamed run produces.
+/// Everything a streamed run keeps once it ends. Its size does not
+/// depend on the stream length, except for the report's row vectors in
+/// retained mode; the checkpoint sequence itself went to the sink.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// The final report. With `retire: false` this is byte-identical to
@@ -55,12 +65,34 @@ pub struct StreamOutcome {
     /// same spec prefix; with `retire: true` the row vectors are empty
     /// (retired through the digest) but every scalar still matches.
     pub report: RunReport,
-    /// The periodic snapshots, in emission order. The final batch
-    /// boundary always emits one, so the sequence is never empty.
-    pub checkpoints: Vec<StreamCheckpoint>,
+    /// How many checkpoints were emitted, and the final one.
+    pub checkpoints: CheckpointTally,
     /// The running digest after every row was folded; equals
     /// [`StreamDigest::of`] of the batched reference report.
     pub digest: StreamDigest,
+}
+
+/// The fixed-size record a stream keeps of its checkpoints: how many it
+/// emitted and the final one. The sequence itself goes to the sink of
+/// [`run_stream_with`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointTally {
+    emitted: usize,
+    last: StreamCheckpoint,
+}
+
+// A stream always emits a final checkpoint, so a tally is never empty.
+#[allow(clippy::len_without_is_empty)]
+impl CheckpointTally {
+    /// The number of checkpoints emitted (at least one).
+    pub fn len(&self) -> usize {
+        self.emitted
+    }
+
+    /// The final checkpoint: it pins the complete run.
+    pub fn last(&self) -> &StreamCheckpoint {
+        &self.last
+    }
 }
 
 /// Cumulative counters fed by folded report rows (the checkpoint
@@ -92,8 +124,28 @@ impl Totals {
     }
 }
 
+/// [`run_stream_with`] with a sink that drops every checkpoint: the
+/// outcome still carries the count and the final one.
+pub fn run_stream<I>(
+    cfg: RunConfig,
+    population: Population,
+    source: I,
+    n_tasks: usize,
+    batch_size: usize,
+    stream: &StreamConfig,
+) -> StreamOutcome
+where
+    I: IntoIterator<Item = TaskSpec>,
+{
+    run_stream_with(cfg, population, source, n_tasks, batch_size, stream, |_| {})
+}
+
 /// Label the first `n_tasks` tasks of `source` in streaming service
-/// mode.
+/// mode, handing each checkpoint to `on_checkpoint` as it is emitted.
+///
+/// The sink sees the whole sequence in order, `seq` running from 0; the
+/// engine itself keeps only the [`CheckpointTally`]. A caller that wants
+/// every row collects them in the sink.
 ///
 /// Equivalence contract (enforced by the conformance suite in
 /// `clamshell-scenarios`): for any `(cfg, population, batch_size)` and
@@ -109,13 +161,14 @@ impl Totals {
 /// Panics if `source` yields fewer than `n_tasks` specs, or on a
 /// non-positive `n_tasks` / `checkpoint_every` / `batch_size` /
 /// arrival rate.
-pub fn run_stream<I>(
+pub fn run_stream_with<I>(
     cfg: RunConfig,
     population: Population,
     source: I,
     n_tasks: usize,
     batch_size: usize,
     stream: &StreamConfig,
+    mut on_checkpoint: impl FnMut(&StreamCheckpoint),
 ) -> StreamOutcome
 where
     I: IntoIterator<Item = TaskSpec>,
@@ -135,7 +188,8 @@ where
 
     let mut source = source.into_iter();
     let mut digest = StreamDigest::new();
-    let mut checkpoints: Vec<StreamCheckpoint> = Vec::new();
+    let mut emitted = 0usize;
+    let mut last: Option<StreamCheckpoint> = None;
     let mut totals = Totals::default();
     // Retained-mode fold cursors over the runner's accumulated rows.
     let (mut tcur, mut acur, mut bcur) = (0usize, 0usize, 0usize);
@@ -202,8 +256,8 @@ where
             let life = runner.lifecycle_counts();
             let (digest_tasks, digest_assignments, digest_batches) = digest.values();
             let (obs_recorded, obs_fingerprint) = runner.obs_probe().unwrap_or((0, 0));
-            checkpoints.push(StreamCheckpoint {
-                seq: checkpoints.len() as u64,
+            let checkpoint = StreamCheckpoint {
+                seq: emitted as u64,
                 at_ms: at.as_millis(),
                 arrived,
                 admitted: admitted as u64,
@@ -223,10 +277,15 @@ where
                 digest_batches,
                 obs_recorded,
                 obs_fingerprint,
-            });
+            };
+            on_checkpoint(&checkpoint);
+            emitted += 1;
+            last = Some(checkpoint);
         }
     }
 
+    let Some(last) = last else { unreachable!("the final batch boundary always checkpoints") };
+    let checkpoints = CheckpointTally { emitted, last };
     StreamOutcome { report: runner.finish(), checkpoints, digest }
 }
 
@@ -287,22 +346,67 @@ mod tests {
         assert_eq!(streamed.report.finished, batched.finished);
     }
 
+    /// Run the test cell through `run_stream_with`, collecting every
+    /// checkpoint the sink sees.
+    fn collected(
+        seed: u64,
+        n: usize,
+        batch_size: usize,
+        stream: &StreamConfig,
+    ) -> (StreamOutcome, Vec<StreamCheckpoint>) {
+        let mut seen = Vec::new();
+        let outcome = run_stream_with(
+            cfg(seed),
+            Population::mturk_live(),
+            source::alternating(2),
+            n,
+            batch_size,
+            stream,
+            |c| seen.push(c.clone()),
+        );
+        (outcome, seen)
+    }
+
     #[test]
     fn checkpoints_are_identical_across_retirement_modes() {
-        let run = |retire| {
-            run_stream(
-                cfg(5),
+        let (_, retained) = collected(5, 24, 5, &stream_cfg(false));
+        let (_, retiring) = collected(5, 24, 5, &stream_cfg(true));
+        assert!(!retained.is_empty());
+        assert_eq!(retained, retiring);
+    }
+
+    #[test]
+    fn sink_sees_every_checkpoint_in_order_and_the_tally_agrees() {
+        for retire in [false, true] {
+            let (outcome, seen) = collected(10, 30, 4, &stream_cfg(retire));
+            assert_eq!(seen.len(), outcome.checkpoints.len());
+            assert!(seen.len() > 1, "the cell must checkpoint more than once");
+            for (i, c) in seen.iter().enumerate() {
+                assert_eq!(c.seq, i as u64, "seq runs 0..n in emission order");
+            }
+            assert_eq!(seen.last(), Some(outcome.checkpoints.last()));
+        }
+    }
+
+    #[test]
+    fn run_stream_is_run_stream_with_a_dropping_sink() {
+        for retire in [false, true] {
+            let plain = run_stream(
+                cfg(11),
                 Population::mturk_live(),
                 source::alternating(2),
-                24,
-                5,
+                30,
+                4,
                 &stream_cfg(retire),
-            )
-        };
-        let retained = run(false);
-        let retiring = run(true);
-        assert!(!retained.checkpoints.is_empty());
-        assert_eq!(retained.checkpoints, retiring.checkpoints);
+            );
+            let (with, _) = collected(11, 30, 4, &stream_cfg(retire));
+            assert_eq!(
+                serde_json::to_string(&plain.report).unwrap(),
+                serde_json::to_string(&with.report).unwrap()
+            );
+            assert_eq!(plain.digest.values(), with.digest.values());
+            assert_eq!(plain.checkpoints, with.checkpoints);
+        }
     }
 
     #[test]
@@ -311,30 +415,33 @@ mod tests {
         // `arrived`/`backlog` reporting fields, never a scheduling
         // outcome.
         let run = |rate| {
-            run_stream(
+            let mut seen = Vec::new();
+            let outcome = run_stream_with(
                 cfg(6),
                 Population::mturk_live(),
                 source::alternating(2),
                 12,
                 4,
                 &StreamConfig { rate_per_sec: rate, checkpoint_every: 4, retire: false },
-            )
+                |c| seen.push(c.clone()),
+            );
+            (outcome, seen)
         };
-        let slow = run(0.05);
-        let fast = run(50.0);
+        let (slow, slow_seen) = run(0.05);
+        let (fast, fast_seen) = run(50.0);
         assert_eq!(
             serde_json::to_string(&slow.report).unwrap(),
             serde_json::to_string(&fast.report).unwrap()
         );
-        for (s, f) in slow.checkpoints.iter().zip(&fast.checkpoints) {
+        assert_eq!(slow_seen.len(), fast_seen.len());
+        for (s, f) in slow_seen.iter().zip(&fast_seen) {
             let mut f_masked = f.clone();
             f_masked.arrived = s.arrived;
             f_masked.backlog = s.backlog;
             assert_eq!(*s, f_masked, "only arrival fields may differ across rates");
         }
         // And the faster feed really did arrive faster.
-        let (s_last, f_last) = (slow.checkpoints.last().unwrap(), fast.checkpoints.last().unwrap());
-        assert!(f_last.arrived > s_last.arrived);
+        assert!(fast.checkpoints.last().arrived > slow.checkpoints.last().arrived);
     }
 
     #[test]
@@ -357,8 +464,7 @@ mod tests {
         assert_eq!(s_obs.fingerprint, b_obs.fingerprint);
         assert_eq!(s_obs.recorded, b_obs.recorded);
         // The final checkpoint's probe pinned the same trace.
-        let last = streamed.checkpoints.last().unwrap();
-        assert!(last.obs_recorded > 0);
+        assert!(streamed.checkpoints.last().obs_recorded > 0);
     }
 
     #[test]
@@ -372,7 +478,7 @@ mod tests {
             &StreamConfig { rate_per_sec: 1.0, checkpoint_every: 1000, retire: false },
         );
         assert_eq!(streamed.checkpoints.len(), 1);
-        let last = &streamed.checkpoints[0];
+        let last = streamed.checkpoints.last();
         assert_eq!(last.completed, 3);
         assert_eq!(last.admitted, 3);
     }

@@ -3,9 +3,16 @@
 //! Streaming service mode for the CLAMShell reproduction: tasks arrive
 //! as an **unbounded open-loop stream** at a target rate, the runner
 //! ingests them incrementally, progress is reported as periodic
-//! [`StreamCheckpoint`]s, and completed-task state can be retired at
-//! batch boundaries so memory stays bounded no matter how long the
-//! stream runs.
+//! [`StreamCheckpoint`]s handed to the caller's sink as they are
+//! emitted, and completed-task state can be retired at batch boundaries.
+//!
+//! Memory contract: with retirement on, the engine's live state is one
+//! batch of task state plus fixed tables plus the final checkpoint,
+//! however long the stream runs. The engine never stores the checkpoint
+//! sequence; a caller that wants it collects it in the sink of
+//! [`run_stream_with`]. (`repro serve`'s batched equivalence check then
+//! builds every spec and a full report on purpose, so that check is
+//! O(n) in the stream length; the stream itself is not.)
 //!
 //! The paper (Haas et al., VLDB 2015) evaluates CLAMShell on finite
 //! batches; a deployed labeling service instead faces a continuous task
@@ -43,12 +50,13 @@
 //! * [`source`] — deterministic unbounded task-spec generators.
 //! * [`checkpoint`] — [`StreamCheckpoint`] snapshots and the running
 //!   [`StreamDigest`].
-//! * [`engine`] — [`run_stream`]: the open-loop service loop.
+//! * [`engine`] — [`run_stream_with`] (and [`run_stream`], its
+//!   sink-less form): the open-loop service loop.
 //! * [`cells`] — streamed sweep cells: run every job of a
 //!   [`Grid`](clamshell_sweep::Grid) in streaming mode across threads.
-//! * [`dashboard`] — deterministic plain-text rendering of a checkpoint
-//!   sequence (used by `repro serve` and the `streaming_dashboard`
-//!   example).
+//! * [`dashboard`] — deterministic plain-text rendering of checkpoint
+//!   rows, one line per emission (used by `repro serve` and the
+//!   `streaming_dashboard` example).
 
 #![warn(missing_docs)]
 
@@ -59,4 +67,4 @@ pub mod engine;
 pub mod source;
 
 pub use checkpoint::{StreamCheckpoint, StreamDigest};
-pub use engine::{run_stream, StreamConfig, StreamOutcome};
+pub use engine::{run_stream, run_stream_with, CheckpointTally, StreamConfig, StreamOutcome};

@@ -5,14 +5,17 @@
 //! can label an unbounded stream in constant memory: completed-task
 //! state retires at every batch boundary, so live heap is bounded by the
 //! largest single batch plus fixed engine state — not by the number of
-//! tasks ever labeled. This test pins that down with a counting global
-//! allocator: a 100×-longer stream (1k → 100k tasks) may increase peak
-//! live bytes only by a small constant factor (fixed-size tables, the
-//! checkpoint vector, allocator noise), not by anything close to 100×.
+//! tasks ever labeled. Checkpoints count too: the engine hands each one
+//! to the caller's sink and keeps only the latest. This test pins that
+//! down with a counting global allocator: a 100×-longer stream (1k →
+//! 100k tasks) may increase peak live bytes only by a small constant
+//! factor (fixed-size tables, allocator noise), not by anything close
+//! to 100×. It runs twice: with a sparse checkpoint cadence, and with a
+//! checkpoint at every batch boundary as `repro serve` emits them.
 //!
 //! The test binary owns the process-global allocator, so it lives alone
-//! in this integration-test file; the workload is single-threaded, so
-//! relaxed counters are exact.
+//! in this integration-test file. Each workload is single-threaded and
+//! the cases take turns on one lock, so relaxed counters are exact.
 
 use clamshell_core::RunConfig;
 use clamshell_stream::source;
@@ -20,6 +23,7 @@ use clamshell_stream::{run_stream, StreamConfig};
 use clamshell_trace::Population;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct LiveAlloc;
 
@@ -67,6 +71,15 @@ unsafe impl GlobalAlloc for LiveAlloc {
 #[global_allocator]
 static GLOBAL: LiveAlloc = LiveAlloc;
 
+/// Serializes the cases: the counters are process-global, and the test
+/// harness runs cases on parallel threads. A case holds the guard until
+/// it ends, so a failing case's panic report allocates under it too.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Run `f` and return the peak live-byte *growth* it caused over the
 /// live bytes at entry.
 fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -79,26 +92,33 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// A lean service cell: single-record tasks, quorum 1, no straggler
 /// replication — the per-task work floor, so stream-length scaling
 /// dominates the measurement instead of per-task simulation cost.
-fn lean_stream(n_tasks: usize) -> u64 {
+/// Batches hold 50 tasks, so a `checkpoint_every` of at most 50 emits a
+/// checkpoint at every batch boundary.
+fn lean_stream(n_tasks: usize, checkpoint_every: usize) -> u64 {
     let cfg =
         RunConfig { pool_size: 4, ng: 1, n_classes: 2, quorum: 1, seed: 1, ..Default::default() };
-    let stream = StreamConfig { rate_per_sec: 5.0, checkpoint_every: 10_000, retire: true };
+    let stream = StreamConfig { rate_per_sec: 5.0, checkpoint_every, retire: true };
     let (outcome, peak) = peak_growth(|| {
         run_stream(cfg, Population::mturk_live(), source::alternating(1), n_tasks, 50, &stream)
     });
-    assert_eq!(outcome.checkpoints.last().map(|c| c.completed), Some(n_tasks as u64));
+    assert_eq!(outcome.checkpoints.last().completed, n_tasks as u64);
     assert!(outcome.report.tasks.is_empty(), "retire mode keeps no rows");
     peak
 }
 
-#[test]
-fn retire_mode_peak_memory_is_stream_length_invariant() {
+/// Peak live-byte growth of a 1k- and a 100k-task stream at one
+/// checkpoint cadence, after a warm-up run.
+fn peaks_1k_100k(checkpoint_every: usize) -> (u64, u64) {
     // Warm-up: fault the lazy population tables and allocator arenas so
     // neither run pays first-touch costs into its peak.
-    let _ = lean_stream(200);
+    let _ = lean_stream(200, checkpoint_every);
+    (lean_stream(1_000, checkpoint_every), lean_stream(100_000, checkpoint_every))
+}
 
-    let peak_1k = lean_stream(1_000);
-    let peak_100k = lean_stream(100_000);
+#[test]
+fn retire_mode_peak_memory_is_stream_length_invariant() {
+    let _serial = serial();
+    let (peak_1k, peak_100k) = peaks_1k_100k(10_000);
     eprintln!("peak live bytes: 1k tasks = {peak_1k}, 100k tasks = {peak_100k}");
 
     // 100× the stream, at most a small constant factor of the peak: the
@@ -108,5 +128,20 @@ fn retire_mode_peak_memory_is_stream_length_invariant() {
     assert!(
         peak_100k <= peak_1k * 4,
         "retire-mode peak grew with stream length: 1k={peak_1k}B, 100k={peak_100k}B"
+    );
+}
+
+#[test]
+fn peak_memory_is_stream_length_invariant_with_a_checkpoint_every_batch() {
+    // `repro serve`'s cadence: every batch boundary emits a checkpoint,
+    // so the 100k stream emits 2,000 of them against the 1k stream's 20.
+    // Keeping them all would grow the peak by their count.
+    let _serial = serial();
+    let (peak_1k, peak_100k) = peaks_1k_100k(1);
+    eprintln!("peak live bytes, checkpoint every batch: 1k = {peak_1k}, 100k = {peak_100k}");
+    assert!(peak_1k > 0, "the counting allocator must observe the run");
+    assert!(
+        peak_100k <= peak_1k * 4,
+        "peak grew with stream length at a per-batch cadence: 1k={peak_1k}B, 100k={peak_100k}B"
     );
 }

@@ -330,6 +330,7 @@ where
     let slots = Mutex::new(items.into_iter().map(Some).collect::<Vec<_>>());
     let take = |lo: usize, hi: usize| -> Vec<T> {
         let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+        // clamshell-lint: allow(D006) -- the pipeline claims each block once, so its slots are full
         slots[lo..hi].iter_mut().map(|s| s.take().expect("each block is claimed once")).collect()
     };
     let mut out = Vec::with_capacity(n);

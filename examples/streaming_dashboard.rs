@@ -26,19 +26,20 @@ fn main() {
     let knobs = StreamConfig { rate_per_sec: 0.05, checkpoint_every: 12, retire: true };
 
     // The source is an *unbounded* iterator; the engine admits exactly
-    // `n_tasks` from it in deterministic batch-sized chunks.
-    let outcome = run_stream(
+    // `n_tasks` from it in deterministic batch-sized chunks and hands
+    // each checkpoint to the sink, which prints its row right away.
+    println!("streaming dashboard ({n_tasks} tasks, retire-mode):\n");
+    println!("{}", dashboard::header());
+    let outcome = run_stream_with(
         cfg.clone(),
         Population::mturk_live(),
         source::alternating(1),
         n_tasks,
         batch_size,
         &knobs,
+        |c| println!("{}", dashboard::row(c)),
     );
-
-    println!("streaming dashboard ({n_tasks} tasks, retire-mode):\n");
-    print!("{}", dashboard::render(&outcome.checkpoints));
-    println!("{}", dashboard::summary(&outcome.checkpoints));
+    println!("{}", dashboard::summary(outcome.checkpoints.last()));
     assert!(outcome.report.tasks.is_empty(), "retired rows live only in the digest");
 
     // The equivalence witness: a batched run over the same spec prefix

@@ -102,7 +102,9 @@ pub mod prelude {
     pub use clamshell_scenarios::{CompactReport, ScenarioDef};
     pub use clamshell_sim::arrivals::ArrivalCounter;
     pub use clamshell_sim::{SimDuration, SimTime};
-    pub use clamshell_stream::{run_stream, StreamCheckpoint, StreamConfig, StreamDigest};
+    pub use clamshell_stream::{
+        run_stream, run_stream_with, StreamCheckpoint, StreamConfig, StreamDigest,
+    };
     pub use clamshell_sweep::{
         CancelToken, Grid, GridError, Metric, MetricsAggregator, ObsAggregator,
     };
