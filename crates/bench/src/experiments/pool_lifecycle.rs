@@ -32,10 +32,13 @@ fn base_config(seed: u64) -> RunConfig {
 
 /// The pool-variant axis: both checkout strategies, each with and
 /// without a reserve idle timeout, plus generation-based retirement.
+/// The timeout is 30 s so that it fires within these few-minute runs:
+/// one of several minutes releases no reserve worker, and the `+idle`
+/// rows would repeat their plain twins.
 fn variants() -> Vec<(&'static str, PoolConfig)> {
     let fifo = PoolConfig::default();
     let lifo = PoolConfig { strategy: CheckoutStrategy::Lifo, ..PoolConfig::default() };
-    let idle = Some(SimDuration::from_secs(180));
+    let idle = Some(SimDuration::from_secs(30));
     vec![
         ("fifo", fifo),
         ("lifo", lifo),
@@ -163,6 +166,18 @@ mod tests {
             assert!(r >= 0.0);
             assert!(r <= report.total_secs());
         }
+    }
+
+    #[test]
+    fn idle_variants_release_reserve_workers() {
+        // Otherwise the +idle rows just repeat their plain twins. The
+        // cell is benign × fifo+idle at the --quick workload (12 tasks).
+        let (_, pool) = variants().into_iter().find(|(l, _)| *l == "fifo+idle").unwrap();
+        let def = clamshell_scenarios::find("benign").unwrap();
+        let cfg = def.config_from(&base_config(1)).with_pool(pool);
+        let report =
+            run_batched(cfg, Population::mturk_live(), crate::util::binary_specs(12, 5), 8);
+        assert!(report.reserve_expired > 0, "the idle timeout must release reserve workers");
     }
 
     #[test]

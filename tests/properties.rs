@@ -8,25 +8,56 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 fn arb_config() -> impl proptest::strategy::Strategy<Value = RunConfig> {
-    (
+    let base = (
         2usize..8,     // pool size
         1u32..4,       // ng
         1u32..3,       // quorum
         any::<bool>(), // straggler mitigation
         any::<bool>(), // maintenance
         0u64..1000,    // seed
-    )
-        .prop_map(|(pool_size, ng, quorum, sm, pm, seed)| {
-            let mut cfg =
-                RunConfig { pool_size, ng, n_classes: 2, quorum, seed, ..Default::default() };
+    );
+    let lifecycle = (
+        any::<bool>(), // LIFO checkout
+        0usize..8,     // min_size floor (0 = none)
+        0u64..300,     // reserve idle timeout, s (0 = none)
+        any::<bool>(), // generations
+        any::<bool>(), // idle members abandon (churn)
+        any::<bool>(), // walkout fault
+        any::<bool>(), // outage fault
+    );
+    (base, lifecycle).prop_map(
+        |((pool_size, ng, quorum, sm, pm, seed), (lifo, floor, idle, gens, churn, walk, out))| {
+            let mut cfg = RunConfig {
+                pool_size,
+                ng,
+                n_classes: 2,
+                quorum,
+                churn,
+                seed,
+                ..Default::default()
+            };
             if sm {
                 cfg = cfg.with_straggler();
             }
             if pm {
                 cfg = cfg.with_maintenance();
             }
+            cfg.pool = PoolConfig {
+                min_size: (floor > 0).then(|| floor.min(pool_size)),
+                strategy: if lifo { CheckoutStrategy::Lifo } else { CheckoutStrategy::Fifo },
+                idle_timeout: (idle > 0).then(|| SimDuration::from_secs(idle)),
+                generations: gens,
+            };
+            if walk || out {
+                cfg = cfg.with_adversity(AdversityConfig {
+                    churn: walk.then(ChurnFault::default),
+                    outage: out.then(OutageFault::default),
+                    ..Default::default()
+                });
+            }
             cfg
-        })
+        },
+    )
 }
 
 proptest! {
@@ -42,8 +73,12 @@ proptest! {
         let batch = cfg.pool_size.min(n_tasks);
         let report = run_batched(cfg.clone(), Population::mturk_live(), specs, batch);
 
-        // All tasks completed, each contributing ng labels.
+        // All tasks completed, each exactly once, each contributing ng
+        // labels.
         prop_assert_eq!(report.tasks.len(), n_tasks);
+        let mut ids: Vec<u32> = report.tasks.iter().map(|t| t.task).collect();
+        ids.sort_unstable();
+        prop_assert!(ids.iter().copied().eq(0..n_tasks as u32), "task ids {:?}", ids);
         prop_assert_eq!(report.labels_produced(), (n_tasks * ng) as u64);
 
         // Costs are composed of exactly the three ledgers.
@@ -65,8 +100,24 @@ proptest! {
         prop_assert!(series.windows(2).all(|w| w[0].1 < w[1].1));
         prop_assert_eq!(series.last().map(|x| x.1).unwrap_or(0), (n_tasks * ng) as u64);
 
-        // Without SM, nothing is ever terminated.
-        if cfg.straggler.is_none() && cfg.maintenance.is_none() {
+        // A worker runs one assignment at a time: the intervals of their
+        // answered assignments never overlap.
+        let mut answered: Vec<_> = report
+            .assignments
+            .iter()
+            .filter(|a| !a.terminated)
+            .map(|a| (a.worker, a.start, a.end))
+            .collect();
+        answered.sort_unstable();
+        for pair in answered.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                prop_assert!(pair[0].2 <= pair[1].1, "overlapping assignments {:?}", pair);
+            }
+        }
+
+        // Without SM (or walkouts), nothing is ever terminated.
+        let walkouts = cfg.adversity.is_some_and(|a| a.churn.is_some());
+        if cfg.straggler.is_none() && cfg.maintenance.is_none() && !walkouts {
             prop_assert_eq!(report.termination_rate(), 0.0);
         }
     }
