@@ -3,19 +3,22 @@
 //! The compact goldens pin only the default [`PoolConfig`], so the
 //! lifecycle mechanisms (LIFO checkout, reserve idle timeouts, blackout
 //! generations, the `min_size` floor and its demand surges) would have no
-//! bit-level check without this suite. It runs every catalog scenario ×
-//! [`variants`] × [`SEEDS`], driving the runner batch by batch with a
-//! clock gap after each batch so reserve workers sit long enough for
-//! their idle timeouts (and idle members for their patience) to run out.
-//! Each committed row is the FNV-1a hash of the full `RunReport` JSON
-//! beside its lifecycle counters, in
+//! bit-level check without this suite. It runs every [`inputs`] config ×
+//! catalog scenario × [`variants`] × [`SEEDS`], driving the runner batch
+//! by batch with a clock gap after each batch so reserve workers sit long
+//! enough for their idle timeouts (and idle members for their patience)
+//! to run out. Each committed row is the FNV-1a hash of the full
+//! `RunReport` JSON beside its lifecycle counters, in
 //! `crates/scenarios/golden/lifecycle_fingerprints.json`.
 //!
 //! Regenerate intentionally with:
 //! `CLAMSHELL_BLESS=1 cargo test -p clamshell-scenarios --test lifecycle_golden`
 
 use clamshell_core::task::TaskSpec;
-use clamshell_core::{BatchSizer, CheckoutStrategy, PoolConfig, RunConfig, Runner};
+use clamshell_core::{
+    BatchSizer, CheckoutStrategy, MaintenanceConfig, MaintenanceObjective, PoolConfig, RunConfig,
+    Runner,
+};
 use clamshell_obs::{fingerprint_hex, Fnv};
 use clamshell_scenarios::{catalog, golden, ScenarioDef};
 use clamshell_sim::time::SimDuration;
@@ -49,16 +52,38 @@ fn variants() -> Vec<(&'static str, PoolConfig)> {
     ]
 }
 
-fn base_config(seed: u64) -> RunConfig {
+fn speed_config(seed: u64) -> RunConfig {
     RunConfig { pool_size: 8, ng: 2, seed, ..Default::default() }
         .with_straggler()
         .with_maintenance()
 }
 
+/// Quorum 3 under the `SpeedAndQuality` objective: every completed task
+/// feeds each responder's agreement rate, including responders who have
+/// since walked out or been evicted, and the quality leg can evict.
+fn quality_config(seed: u64) -> RunConfig {
+    let objective = MaintenanceObjective::SpeedAndQuality { min_agreement: 0.8 };
+    RunConfig {
+        quorum: 3,
+        maintenance: Some(MaintenanceConfig { objective, ..MaintenanceConfig::pm8() }),
+        ..speed_config(seed)
+    }
+}
+
+/// A base config for a seed.
+type Base = fn(u64) -> RunConfig;
+
+/// The base configs, each with the suffix its rows append to the `pool`
+/// label: the speed objective at quorum 1 (bare labels), then quorum-3
+/// quality maintenance.
+fn inputs() -> [(&'static str, Base); 2] {
+    [("", speed_config), ("@quorum3+quality", quality_config)]
+}
+
 #[derive(Serialize)]
 struct Row {
     scenario: &'static str,
-    pool: &'static str,
+    pool: String,
     seed: u64,
     reserve_expired: u64,
     stale_retired: u64,
@@ -67,11 +92,15 @@ struct Row {
     fingerprint: String,
 }
 
+/// One cell's inputs: base config and its label suffix, scenario, pool
+/// variant and its label, and seed.
+type Cell = (Base, &'static str, &'static ScenarioDef, &'static str, PoolConfig, u64);
+
 /// One cell: the scenario's config under `pool`, run batch by batch with
 /// a [`GAP`] after each batch (batch sizes from [`BatchSizer`], so
 /// `bursty` keeps its bursts).
-fn run_cell(def: &'static ScenarioDef, pool: &'static str, config: PoolConfig, seed: u64) -> Row {
-    let cfg = def.config_from(&base_config(seed)).with_pool(config);
+fn run_cell((base, suffix, def, pool, config, seed): Cell) -> Row {
+    let cfg = def.config_from(&base(seed)).with_pool(config);
     let mut sizer = BatchSizer::new(&cfg, BATCH);
     let mut runner = Runner::new(cfg, Population::mturk_live());
     runner.warm_up();
@@ -89,7 +118,7 @@ fn run_cell(def: &'static ScenarioDef, pool: &'static str, config: PoolConfig, s
     h.write(serde_json::to_string(&report).expect("report serializes").as_bytes());
     Row {
         scenario: def.name,
-        pool,
+        pool: format!("{pool}{suffix}"),
         seed,
         reserve_expired: report.reserve_expired,
         stale_retired: report.stale_retired,
@@ -99,17 +128,19 @@ fn run_cell(def: &'static ScenarioDef, pool: &'static str, config: PoolConfig, s
     }
 }
 
-/// Every cell, scenario-major, then variant, then seed.
+/// Every cell, input-major, then scenario, then variant, then seed.
 fn lifecycle_suite(threads: usize) -> Vec<Row> {
-    let mut cells = Vec::new();
-    for def in catalog() {
-        for (label, config) in variants() {
-            for seed in SEEDS {
-                cells.push((def, label, config, seed));
+    let mut cells: Vec<Cell> = Vec::new();
+    for (suffix, base) in inputs() {
+        for def in catalog() {
+            for (label, config) in variants() {
+                for seed in SEEDS {
+                    cells.push((base, suffix, def, label, config, seed));
+                }
             }
         }
     }
-    pool::map(cells, threads, |_, _, (s, v, c, seed)| run_cell(s, v, c, seed))
+    pool::map(cells, threads, |_, _, cell| run_cell(cell))
 }
 
 /// One JSON object per line, like the other golden files.
@@ -122,7 +153,7 @@ fn render(rows: &[Row]) -> String {
 #[test]
 fn lifecycle_fingerprint_conformance() {
     let rows = lifecycle_suite(threads::resolve(None));
-    assert_eq!(rows.len(), catalog().len() * variants().len() * SEEDS.len());
+    assert_eq!(rows.len(), inputs().len() * catalog().len() * variants().len() * SEEDS.len());
     let rendered = render(&rows);
     if golden::blessing() {
         golden::bless(GOLDEN_NAME, &rendered);
@@ -147,4 +178,11 @@ fn lifecycle_suite_exercises_every_pool_exit() {
     assert!(total(|r| r.stale_retired) > 0, "generations must retire stale members");
     assert!(total(|r| r.workers_departed) > 0, "churn must walk workers out");
     assert!(total(|r| r.workers_evicted) > 0, "maintenance must evict slow workers");
+    // The quorum-3 rows must see departures and evictions too, so quality
+    // evidence from workers who left the pool is on the pinned path.
+    let quality = |f: fn(&Row) -> u64| {
+        rows.iter().filter(|r| r.pool.ends_with(inputs()[1].0)).map(f).sum::<u64>()
+    };
+    assert!(quality(|r| r.workers_departed) > 0, "quorum-3 churn must walk workers out");
+    assert!(quality(|r| r.workers_evicted) > 0, "quality maintenance must evict");
 }
