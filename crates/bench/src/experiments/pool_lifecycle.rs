@@ -51,7 +51,8 @@ fn variants() -> Vec<(&'static str, PoolConfig)> {
 /// Seconds from the end of the last completed outage window to run
 /// completion — how long the run needed to drain after the final
 /// blackout. `None` when the scenario has no outage fault or no window
-/// completed within the run.
+/// ended during the run: a window that ended at `started` or earlier was
+/// over before any task ran.
 fn recovery_secs(report: &RunReport, seed: u64, outage: OutageFault) -> Option<f64> {
     // The runner's schedule is fully determined by (seed, means), so the
     // exact outage windows of the measured run can be reconstructed.
@@ -65,7 +66,7 @@ fn recovery_secs(report: &RunReport, seed: u64, outage: OutageFault) -> Option<f
         .generated()
         .iter()
         .map(|&(_, end)| end)
-        .rfind(|&end| end <= report.finished && end >= report.started)?;
+        .rfind(|&end| end <= report.finished && end > report.started)?;
     Some(report.finished.since(last_end).as_secs_f64())
 }
 
@@ -115,13 +116,15 @@ pub fn pool_lifecycle(opts: &Opts) {
         for (v_idx, (label, _)) in variants().iter().enumerate() {
             let reports = &grouped[s_idx * n_variants + v_idx];
             let lat = mean_of(reports, |r| r.total_secs());
-            let recovery = outage.map(|o| {
+            // Mean over the seeds whose run saw a blackout end; "-" when
+            // none did.
+            let recovery = outage.and_then(|o| {
                 let per_seed: Vec<f64> = reports
                     .iter()
                     .zip(&opts.seeds)
                     .filter_map(|(r, &seed)| recovery_secs(r, seed, o))
                     .collect();
-                per_seed.iter().sum::<f64>() / per_seed.len().max(1) as f64
+                (!per_seed.is_empty()).then(|| per_seed.iter().sum::<f64>() / per_seed.len() as f64)
             });
             row(&[
                 def.name.into(),
@@ -146,6 +149,7 @@ pub fn pool_lifecycle(opts: &Opts) {
 mod tests {
     use super::*;
     use clamshell_core::runner::run_batched;
+    use clamshell_sim::time::SimTime;
 
     #[test]
     fn variant_labels_are_unique() {
@@ -166,6 +170,35 @@ mod tests {
             assert!(r >= 0.0);
             assert!(r <= report.total_secs());
         }
+    }
+
+    #[test]
+    fn a_blackout_over_at_the_start_is_no_recovery() {
+        // The only window that ends by `finished` ends exactly at
+        // `started`, so the run never saw it.
+        let outage = OutageFault { mean_uptime_secs: 120.0, mean_outage_secs: 45.0 };
+        let mut sched = OutageSchedule::new(
+            11,
+            SimDuration::from_secs_f64(outage.mean_uptime_secs),
+            SimDuration::from_secs_f64(outage.mean_outage_secs),
+        );
+        sched.defer(SimTime::from_secs(100_000));
+        let (first_end, next_start) = (sched.generated()[0].1, sched.generated()[1].0);
+        let mut report = run_batched(
+            base_config(11),
+            Population::mturk_live(),
+            crate::util::binary_specs(1, 5),
+            8,
+        );
+        report.started = first_end;
+        report.finished = next_start;
+        assert_eq!(recovery_secs(&report, 11, outage), None);
+        // A window ending one millisecond into the run does count.
+        report.started = first_end - SimDuration::from_millis(1);
+        assert_eq!(
+            recovery_secs(&report, 11, outage),
+            Some(next_start.since(first_end).as_secs_f64())
+        );
     }
 
     #[test]

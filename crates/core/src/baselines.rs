@@ -16,8 +16,8 @@ use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::TaskSpec;
 use clamshell_crowd::{SimPlatform, WorkerId};
 use clamshell_learn::eval::{accuracy, LearningCurve};
-use clamshell_learn::model::{Classifier, Example, SgdConfig};
-use clamshell_learn::{Dataset, LogisticRegression, SoftmaxRegression};
+use clamshell_learn::model::{new_classifier, Example, SgdConfig};
+use clamshell_learn::Dataset;
 use clamshell_sim::stats::OnlineStats;
 use clamshell_sim::time::SimTime;
 use clamshell_trace::Population;
@@ -237,11 +237,7 @@ pub fn run_base_nr(
         };
         labeled.push(Example::new(row, label));
         if (i + 1) % pool_size == 0 || i + 1 == order.len() {
-            let mut model: Box<dyn Classifier> = if dataset.n_classes == 2 {
-                Box::new(LogisticRegression::new(sgd))
-            } else {
-                Box::new(SoftmaxRegression::new(dataset.n_classes, sgd))
-            };
+            let mut model = new_classifier(dataset.n_classes, sgd);
             model.fit(&dataset.features, &labeled);
             let acc = accuracy(model.as_ref(), &dataset.features, &test_rows, &test_labels);
             curve.push(t.completed.as_secs_f64(), labeled.len(), acc);

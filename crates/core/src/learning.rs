@@ -23,9 +23,9 @@ use crate::metrics::RunReport;
 use crate::runner::Runner;
 use crate::task::TaskSpec;
 use clamshell_learn::eval::{accuracy, LearningCurve};
-use clamshell_learn::model::{Classifier, Example, SgdConfig};
+use clamshell_learn::model::{new_classifier, Classifier, Example, SgdConfig};
 use clamshell_learn::sampling::{select_random, select_uncertain, Uncertainty};
-use clamshell_learn::{Dataset, LogisticRegression, SoftmaxRegression};
+use clamshell_learn::Dataset;
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::{SimDuration, SimTime};
 use clamshell_trace::Population;
@@ -156,14 +156,6 @@ impl<'d> LearningRunner<'d> {
         LearningRunner { dataset, run_cfg, learn_cfg, population }
     }
 
-    fn fresh_model(&self) -> Box<dyn Classifier> {
-        if self.dataset.n_classes == 2 {
-            Box::new(LogisticRegression::new(self.learn_cfg.sgd))
-        } else {
-            Box::new(SoftmaxRegression::new(self.dataset.n_classes, self.learn_cfg.sgd))
-        }
-    }
-
     fn decision_latency(&self, n_points: usize) -> SimDuration {
         SimDuration::from_secs_f64(
             self.learn_cfg.decision_base_secs
@@ -278,7 +270,7 @@ impl<'d> LearningRunner<'d> {
 
             // --- Retrain (NL never trains) ---------------------------------
             if !matches!(self.learn_cfg.strategy, Strategy::NoLearn) {
-                let mut model = self.fresh_model();
+                let mut model = new_classifier(self.dataset.n_classes, self.learn_cfg.sgd);
                 model.fit(&self.dataset.features, &labeled);
                 let ready_at = runner.now() + self.decision_latency(labeled.len());
                 let acc =

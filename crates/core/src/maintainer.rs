@@ -1,11 +1,14 @@
 //! Pool maintenance: per-worker latency accounting, TermEst, and the
 //! eviction decision (§4.2–§4.3).
+//!
+//! A worker's [`WorkerStats`] live in the runner's pool member record, so
+//! they exist exactly while the worker is in the pool. The [`Maintainer`]
+//! judges those records and counts what maintenance did.
 
 use crate::config::MaintenanceConfig;
 use clamshell_crowd::WorkerId;
 use clamshell_sim::stats::OnlineStats;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Empirical latency bookkeeping for one worker. All latencies are
 /// **seconds per label** (task latency divided by `Ng`), matching the
@@ -122,10 +125,10 @@ impl WorkerStats {
     }
 }
 
-/// The Maintainer: accumulates [`WorkerStats`] and decides evictions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The Maintainer: the eviction policy over [`WorkerStats`], and the
+/// maintenance counters.
+#[derive(Debug, Clone, Default)]
 pub struct Maintainer {
-    stats: BTreeMap<WorkerId, WorkerStats>,
     /// Total workers evicted so far (for Figures 7 and 14).
     pub evictions: u64,
     /// Workers who walked out mid-assignment (adversity churn). Tracked
@@ -141,20 +144,9 @@ impl Maintainer {
         Self::default()
     }
 
-    /// Stats entry for a worker, creating it on first touch.
-    pub fn stats_mut(&mut self, w: WorkerId) -> &mut WorkerStats {
-        self.stats.entry(w).or_default()
-    }
-
-    /// Read-only stats for a worker.
-    pub fn stats(&self, w: WorkerId) -> Option<&WorkerStats> {
-        self.stats.get(&w)
-    }
-
     /// The worker's best latency estimate under the current config:
     /// TermEst-adjusted when enabled, completed-only otherwise.
-    pub fn estimate(&self, w: WorkerId, cfg: &MaintenanceConfig) -> Option<f64> {
-        let s = self.stats.get(&w)?;
+    pub fn estimate(s: &WorkerStats, cfg: &MaintenanceConfig) -> Option<f64> {
         if s.started == 0 {
             return None;
         }
@@ -170,11 +162,8 @@ impl Maintainer {
     /// whose every task was terminated carry no completed-sample variance,
     /// so they are flagged on the raw TermEst estimate once they have
     /// enough attempts.
-    pub fn should_evict(&self, w: WorkerId, cfg: &MaintenanceConfig) -> bool {
+    pub fn should_evict(s: &WorkerStats, cfg: &MaintenanceConfig) -> bool {
         use crate::config::MaintenanceObjective as Obj;
-        let Some(s) = self.stats.get(&w) else {
-            return false;
-        };
         if s.started < cfg.min_tasks {
             return false;
         }
@@ -192,7 +181,7 @@ impl Maintainer {
         if matches!(cfg.objective, Obj::Quality { .. }) {
             return false; // quality-only maintenance ignores speed
         }
-        let est = match self.estimate(w, cfg) {
+        let est = match Self::estimate(s, cfg) {
             Some(e) => e,
             None => return false,
         };
@@ -211,16 +200,15 @@ impl Maintainer {
         }
     }
 
-    /// All current pool members flagged for eviction, slowest-estimate
-    /// first (so limited reserves replace the worst workers).
-    pub fn flag_evictions(
-        &self,
-        pool_members: impl Iterator<Item = WorkerId>,
+    /// The pool members flagged for eviction, slowest-estimate first (so
+    /// limited reserves replace the worst workers).
+    pub fn flag_evictions<'a>(
+        members: impl Iterator<Item = (WorkerId, &'a WorkerStats)>,
         cfg: &MaintenanceConfig,
     ) -> Vec<WorkerId> {
-        let mut flagged: Vec<(f64, WorkerId)> = pool_members
-            .filter(|&w| self.should_evict(w, cfg))
-            .map(|w| (self.estimate(w, cfg).unwrap_or(0.0), w))
+        let mut flagged: Vec<(f64, WorkerId)> = members
+            .filter(|(_, s)| Self::should_evict(s, cfg))
+            .map(|(w, s)| (Self::estimate(s, cfg).unwrap_or(0.0), w))
             .collect();
         flagged.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         flagged.into_iter().map(|(_, w)| w).collect()
@@ -231,12 +219,10 @@ impl Maintainer {
         self.evictions += 1;
     }
 
-    /// React to a mid-assignment walkout: count it and drop the departed
-    /// worker's stats — they can never return, so keeping their sample
-    /// would only skew pool-level aggregates.
-    pub fn note_walkout(&mut self, w: WorkerId) {
+    /// Count a mid-assignment walkout. The departed worker's stats go
+    /// with their pool member record.
+    pub fn note_walkout(&mut self) {
         self.walkouts += 1;
-        self.stats.remove(&w);
     }
 }
 
@@ -302,39 +288,35 @@ mod tests {
         assert!(s.termest_mean(1.0) > s.naive_mean());
     }
 
+    /// A worker with `started` tasks, `n` of them completed at `secs`
+    /// per label.
+    fn worker(started: u64, n: usize, secs: f64) -> WorkerStats {
+        let mut s = WorkerStats { started, ..Default::default() };
+        for _ in 0..n {
+            s.record_completion(secs, 1);
+        }
+        s
+    }
+
     #[test]
     fn eviction_flags_clearly_slow_worker() {
-        let mut m = Maintainer::new();
-        let w = WorkerId(0);
-        let s = m.stats_mut(w);
-        s.started = 10;
+        let mut s = WorkerStats { started: 10, ..Default::default() };
         for i in 0..10 {
             s.record_completion(12.0 + (i % 3) as f64, 1); // ~13 s/label
         }
-        assert!(m.should_evict(w, &cfg()));
+        assert!(Maintainer::should_evict(&s, &cfg()));
     }
 
     #[test]
     fn eviction_spares_fast_and_unknown_workers() {
-        let mut m = Maintainer::new();
-        let fast = WorkerId(1);
-        let s = m.stats_mut(fast);
-        s.started = 10;
-        for _ in 0..10 {
-            s.record_completion(3.0, 1);
-        }
-        assert!(!m.should_evict(fast, &cfg()));
-        assert!(!m.should_evict(WorkerId(99), &cfg()), "never-seen worker");
+        assert!(!Maintainer::should_evict(&worker(10, 10, 3.0), &cfg()));
+        assert!(!Maintainer::should_evict(&WorkerStats::default(), &cfg()), "no evidence yet");
     }
 
     #[test]
     fn eviction_requires_evidence() {
-        let mut m = Maintainer::new();
-        let w = WorkerId(2);
-        let s = m.stats_mut(w);
-        s.started = 1;
-        s.record_completion(50.0, 1);
-        assert!(!m.should_evict(w, &cfg()), "one task is not enough (min_tasks=3)");
+        let s = worker(1, 1, 50.0);
+        assert!(!Maintainer::should_evict(&s, &cfg()), "one task is not enough (min_tasks=3)");
     }
 
     #[test]
@@ -342,20 +324,14 @@ mod tests {
         // A slow worker whose slow tasks are all terminated: completed
         // tasks (the few fast ones) average below PMl, so the naive
         // estimate misses them; TermEst catches them. This is Figure 14.
-        let mut m = Maintainer::new();
-        let w = WorkerId(3);
-        let s = m.stats_mut(w);
-        s.started = 10;
-        for _ in 0..2 {
-            s.record_completion(6.0, 1); // the lucky fast ones
-        }
+        let mut s = worker(10, 2, 6.0); // the lucky fast ones
         for _ in 0..8 {
             s.record_termination(Some(4.0)); // fast co-workers kept winning
         }
         let with = cfg(); // use_termest: true
         let without = MaintenanceConfig { use_termest: false, ..cfg() };
-        assert!(m.should_evict(w, &with), "TermEst should flag");
-        assert!(!m.should_evict(w, &without), "naive estimate should miss");
+        assert!(Maintainer::should_evict(&s, &with), "TermEst should flag");
+        assert!(!Maintainer::should_evict(&s, &without), "naive estimate should miss");
     }
 
     #[test]
@@ -365,18 +341,12 @@ mod tests {
             objective: MaintenanceObjective::Quality { min_agreement: 0.8 },
             ..cfg()
         };
-        let mut m = Maintainer::new();
         // A fast but wildly inaccurate worker: speed maintenance keeps
         // them, quality maintenance must not.
-        let w = WorkerId(0);
-        let s = m.stats_mut(w);
-        s.started = 10;
-        for _ in 0..10 {
-            s.record_completion(2.0, 1); // very fast
-        }
+        let mut s = worker(10, 10, 2.0); // very fast
         s.record_quality(4, 10); // 40% agreement
-        assert!(!m.should_evict(w, &cfg()), "speed objective ignores quality");
-        assert!(m.should_evict(w, &qcfg), "quality objective flags them");
+        assert!(!Maintainer::should_evict(&s, &cfg()), "speed objective ignores quality");
+        assert!(Maintainer::should_evict(&s, &qcfg), "quality objective flags them");
     }
 
     #[test]
@@ -386,18 +356,12 @@ mod tests {
             objective: MaintenanceObjective::Quality { min_agreement: 0.8 },
             ..cfg()
         };
-        let mut m = Maintainer::new();
         // Slow but accurate: quality-only maintenance keeps them even
         // though speed maintenance would evict.
-        let w = WorkerId(1);
-        let s = m.stats_mut(w);
-        s.started = 10;
-        for _ in 0..10 {
-            s.record_completion(20.0, 1);
-        }
+        let mut s = worker(10, 10, 20.0);
         s.record_quality(19, 20);
-        assert!(m.should_evict(w, &cfg()), "speed objective would evict");
-        assert!(!m.should_evict(w, &qcfg), "quality objective keeps them");
+        assert!(Maintainer::should_evict(&s, &cfg()), "speed objective would evict");
+        assert!(!Maintainer::should_evict(&s, &qcfg), "quality objective keeps them");
     }
 
     #[test]
@@ -407,31 +371,15 @@ mod tests {
             objective: MaintenanceObjective::SpeedAndQuality { min_agreement: 0.8 },
             ..cfg()
         };
-        let mut m = Maintainer::new();
-        let slow = WorkerId(0);
-        let s = m.stats_mut(slow);
-        s.started = 8;
-        for _ in 0..8 {
-            s.record_completion(20.0, 1);
-        }
-        s.record_quality(20, 20); // accurate but slow
-        let sloppy = WorkerId(1);
-        let s = m.stats_mut(sloppy);
-        s.started = 8;
-        for _ in 0..8 {
-            s.record_completion(2.0, 1);
-        }
-        s.record_quality(6, 20); // fast but inaccurate
-        let good = WorkerId(2);
-        let s = m.stats_mut(good);
-        s.started = 8;
-        for _ in 0..8 {
-            s.record_completion(2.0, 1);
-        }
-        s.record_quality(19, 20);
-        assert!(m.should_evict(slow, &both));
-        assert!(m.should_evict(sloppy, &both));
-        assert!(!m.should_evict(good, &both));
+        let mut slow = worker(8, 8, 20.0);
+        slow.record_quality(20, 20); // accurate but slow
+        let mut sloppy = worker(8, 8, 2.0);
+        sloppy.record_quality(6, 20); // fast but inaccurate
+        let mut good = worker(8, 8, 2.0);
+        good.record_quality(19, 20);
+        assert!(Maintainer::should_evict(&slow, &both));
+        assert!(Maintainer::should_evict(&sloppy, &both));
+        assert!(!Maintainer::should_evict(&good, &both));
     }
 
     #[test]
@@ -446,18 +394,11 @@ mod tests {
 
     #[test]
     fn flagged_evictions_sorted_slowest_first() {
-        let mut m = Maintainer::new();
-        for (id, lat) in [(0u32, 20.0), (1, 15.0), (2, 3.0), (3, 30.0)] {
-            let s = m.stats_mut(WorkerId(id));
-            s.started = 6;
-            for _ in 0..6 {
-                s.record_completion(lat, 1);
-            }
-        }
-        let flagged = m.flag_evictions(
-            [WorkerId(0), WorkerId(1), WorkerId(2), WorkerId(3)].into_iter(),
-            &cfg(),
-        );
+        let stats: Vec<(WorkerId, WorkerStats)> = [(0u32, 20.0), (1, 15.0), (2, 3.0), (3, 30.0)]
+            .into_iter()
+            .map(|(id, lat)| (WorkerId(id), worker(6, 6, lat)))
+            .collect();
+        let flagged = Maintainer::flag_evictions(stats.iter().map(|(w, s)| (*w, s)), &cfg());
         assert_eq!(flagged, vec![WorkerId(3), WorkerId(0), WorkerId(1)]);
     }
 }

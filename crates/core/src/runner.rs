@@ -7,11 +7,13 @@
 //! through worker arrivals, assignment completions, terminations, and
 //! abandonments.
 //!
-//! Worker state: `WorkerId`s are dense (arrival order), so each worker's
-//! idle flag, abandon epoch and patience live in one `WorkerId`-indexed
-//! table. The reserve is one map keyed by `WorkerId`; workers enter it
-//! only on arrival, so reserve order is arrival order is `WorkerId`
-//! order. Every pool exit goes through `leave_pool`.
+//! Worker state: a pool member's idle flag, abandon epoch, patience and
+//! maintenance statistics ride in its `RetainerPool` member record, so
+//! they exist exactly while the worker is in the pool. The reserve is one
+//! map keyed by `WorkerId`; workers enter it only on arrival, so reserve
+//! order is arrival order is `WorkerId` order. Every pool exit goes
+//! through `leave_pool`, and workers never rejoin, so nothing the runner
+//! holds outlives a departed worker.
 //!
 //! Determinism contract: for a fixed [`RunConfig`] (including seed) and
 //! task stream, two runs produce byte-identical [`RunReport`]s. Events at
@@ -21,12 +23,12 @@
 use crate::adversity::{streams, BurstFault, ChurnFault};
 use crate::config::{QcMode, RunConfig};
 use crate::lifeguard::route;
-use crate::maintainer::Maintainer;
+use crate::maintainer::{Maintainer, WorkerStats};
 use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::{
     Assignment, AssignmentId, LabelSpan, StateView, TaskId, TaskResponse, TaskSpec, TaskState,
 };
-use clamshell_crowd::{CostLedger, RetainerPool, SimPlatform, WorkerId};
+use clamshell_crowd::{CostLedger, MemberState, RetainerPool, SimPlatform, WorkerId};
 use clamshell_obs::{RunObserver, TraceKind};
 use clamshell_quality::voting::{majority_vote, Vote};
 use clamshell_sim::events::EventQueue;
@@ -88,16 +90,19 @@ pub struct LifecycleCounts {
     pub stale_retired: u64,
 }
 
-/// One recruited worker's runner-side state (see `Runner::seats`).
-#[derive(Debug, Clone, Copy)]
+/// A pool member's runner-side state, kept in its pool member record:
+/// created when the worker joins, dropped when they leave.
+#[derive(Default)]
 struct Seat {
-    /// Idle in the pool and dispatchable right now. Only pool members are
-    /// ever idle: `leave_pool` clears the flag.
+    /// Idle in the pool and dispatchable right now.
     idle: bool,
     /// Abandon-check invalidation epoch, bumped on every assignment.
     abandon_epoch: u32,
     /// Retainer patience, sampled when the worker joins the pool.
     patience: SimDuration,
+    /// Latency and quality evidence for maintenance and TermEst. Its
+    /// completed count is the worker's age (Figure 5).
+    stats: WorkerStats,
 }
 
 /// The CLAMShell batch executor. See module docs.
@@ -105,7 +110,7 @@ pub struct Runner {
     cfg: RunConfig,
     platform: SimPlatform,
     queue: EventQueue<Event>,
-    pool: RetainerPool,
+    pool: RetainerPool<Seat>,
     maintainer: Maintainer,
     rng: Rng,
 
@@ -125,9 +130,6 @@ pub struct Runner {
     batch_tasks: Vec<TaskId>,
     batch_index: usize,
 
-    /// Per-worker state, indexed by `WorkerId` (ids are dense: the
-    /// platform numbers workers in arrival order).
-    seats: Vec<Seat>,
     /// Recruited workers not yet placed in the pool (the maintenance
     /// reserve), with when each started waiting off-pool. Workers enter
     /// it only on arrival, so key order is arrival order.
@@ -241,7 +243,6 @@ impl Runner {
             assignment_base: 0,
             batch_tasks: Vec::new(),
             batch_index: 0,
-            seats: Vec::new(),
             reserve: BTreeMap::new(),
             recruits_in_flight: 0,
             task_records: Vec::new(),
@@ -285,16 +286,6 @@ impl Runner {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
-    }
-
-    /// The maintainer (latency estimates, eviction counters).
-    pub fn maintainer(&self) -> &Maintainer {
-        &self.maintainer
-    }
-
-    /// The retainer pool.
-    pub fn pool(&self) -> &RetainerPool {
-        &self.pool
     }
 
     /// All task states (completed and otherwise).
@@ -420,11 +411,6 @@ impl Runner {
             finished: self.last_completion,
             obs: obs_report,
         }
-    }
-
-    /// Whether observability is enabled for this run.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
     }
 
     /// Dump the flight-recorder tail to stderr as a JSONL section.
@@ -626,8 +612,6 @@ impl Runner {
     fn on_worker_ready(&mut self) {
         self.recruits_in_flight = self.recruits_in_flight.saturating_sub(1);
         let w = self.platform.worker_arrives();
-        debug_assert_eq!(w.0 as usize, self.seats.len(), "worker ids are dense");
-        self.seats.push(Seat { idle: false, abandon_epoch: 0, patience: SimDuration::ZERO });
         let now = self.now();
         // Arrivals fill the pool to its replenishment floor; beyond that
         // they wait in the reserve (and may be promoted by a demand
@@ -682,7 +666,10 @@ impl Runner {
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::PoolJoin { worker: w.0, occupancy: self.pool.len() as u64 });
         }
-        self.seats[w.0 as usize].patience = self.platform.sample_patience(w);
+        let patience = self.platform.sample_patience(w);
+        if let Some(seat) = self.pool.data_mut(w) {
+            seat.patience = patience;
+        }
         self.dispatch_worker(w);
     }
 
@@ -694,10 +681,9 @@ impl Runner {
 
     /// Patience check (scheduled only when `cfg.churn` is on).
     fn on_abandon(&mut self, w: WorkerId, epoch: u32) {
-        let seat = self.seats[w.0 as usize];
         // A stale check (the worker got work since), or the worker
         // already left the pool.
-        if seat.abandon_epoch != epoch || !seat.idle {
+        if !self.pool.member(w).is_some_and(|m| m.data.idle && m.data.abandon_epoch == epoch) {
             return;
         }
         // The worker walks away from the retainer task.
@@ -705,12 +691,11 @@ impl Runner {
         self.refill_vacancy();
     }
 
-    /// The one pool-exit path: clear the idle flag, free the slot, pay
-    /// the wait owed since the member last became idle (none while
+    /// The one pool-exit path: free the slot and drop the member's seat,
+    /// pay the wait owed since the member last became idle (none while
     /// working) and record `PoolLeave` with the post-departure occupancy.
     /// A no-op for a worker who is not a member.
     fn leave_pool(&mut self, w: WorkerId, now: SimTime) {
-        self.seats[w.0 as usize].idle = false;
         if let Some(wait) = self.pool.leave(w, now) {
             self.platform.pay_wait(wait);
             if let Some(obs) = &mut self.obs {
@@ -740,15 +725,14 @@ impl Runner {
 
     /// Idle pool members, in `WorkerId` order.
     fn idle_members(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        self.pool.members().map(|(w, _)| w).filter(|w| self.seats[w.0 as usize].idle)
+        self.pool.members().filter(|(_, m)| m.data.idle).map(|(w, _)| w)
     }
 
     /// Adversity churn: the worker walks out mid-assignment. No answer is
     /// submitted and no work payment is due (unlike a requester-side
     /// termination, the worker forfeits by leaving); the retainer slot
-    /// empties and re-recruitment starts immediately. The maintainer
-    /// drops the departed worker's sample and counts the walkout against
-    /// the reserve budget.
+    /// and the worker's stats go, and re-recruitment starts immediately.
+    /// The maintainer counts the walkout against the reserve budget.
     fn on_walkout(&mut self, aid: AssignmentId) {
         let Some(a) = self.live_assignment(aid) else {
             return; // terminated (straggler cap / completion) before walking
@@ -768,9 +752,9 @@ impl Runner {
             terminated: true,
         });
         // The worker is gone for good: free the slot (no wait is owed
-        // while working). Workers never rejoin, so their seat goes inert.
+        // while working).
         self.leave_pool(w, now);
-        self.maintainer.note_walkout(w);
+        self.maintainer.note_walkout();
         self.workers_departed += 1;
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::Walkout { worker: w.0, task: a.task.0, assignment: aid.0 });
@@ -807,7 +791,7 @@ impl Runner {
             &mut self.label_arena,
         );
         let labels = LabelSpan { start, len: self.label_arena.len() as u32 - start };
-        let age_before = self.pool.age(w);
+        let age_before = self.pool.member(w).map_or(0, |m| m.data.stats.completed.count() as u32);
         let span = now.since(a.start);
         self.tasks[tix].responses.push(TaskResponse {
             worker: w,
@@ -819,11 +803,10 @@ impl Runner {
 
         // Pay and account.
         self.platform.pay_records(ng as u64);
-        if self.pool.contains(w) {
-            self.pool.finish_work(w, now, true);
+        if let Some(seat) = self.pool.data_mut(w) {
+            seat.stats.record_completion(span.as_secs_f64(), ng);
+            self.pool.finish_work(w, now);
         }
-        let stats = self.maintainer.stats_mut(w);
-        stats.record_completion(span.as_secs_f64(), ng);
 
         self.assignment_records.push(AssignmentRecord {
             task: tid.0,
@@ -893,16 +876,21 @@ impl Runner {
 
         // Quality signal for maintenance (§4.2 Extensions): with a vote
         // quorum, each response's agreement with the consensus is
-        // per-worker quality evidence. The task table and the maintainer
-        // are disjoint fields, so this streams without a staging vector.
+        // per-worker quality evidence. Responders who have left the pool
+        // since answering are skipped: nothing reads their stats again.
+        // The task table and the pool are disjoint fields, so this
+        // streams without a staging vector.
         if task.responses.len() >= 2 {
-            let maintainer = &mut self.maintainer;
+            let pool = &mut self.pool;
             let arena = &self.label_arena;
             for r in &task.responses {
+                let Some(seat) = pool.data_mut(r.worker) else {
+                    continue;
+                };
                 let matched =
                     r.labels.slice(arena).iter().zip(&finals).filter(|(a, b)| a == b).count()
                         as u64;
-                maintainer.stats_mut(r.worker).record_quality(matched, finals.len() as u64);
+                seat.stats.record_quality(matched, finals.len() as u64);
             }
         }
 
@@ -976,16 +964,17 @@ impl Runner {
         let atix = self.task_ix(a.task);
         let ng = self.tasks[atix].spec.ng();
         self.platform.pay_terminated(ng as u64);
-        if self.pool.contains(a.worker) {
-            self.pool.finish_work(a.worker, now, false);
-        }
         // TermEst evidence: the terminator's current empirical mean.
         let cause_mean = self
-            .maintainer
-            .stats(caused_by)
-            .filter(|s| s.completed.count() > 0)
-            .map(|s| s.completed.mean());
-        self.maintainer.stats_mut(a.worker).record_termination(cause_mean);
+            .pool
+            .member(caused_by)
+            .map(|m| &m.data.stats.completed)
+            .filter(|c| c.count() > 0)
+            .map(|c| c.mean());
+        if let Some(seat) = self.pool.data_mut(a.worker) {
+            seat.stats.record_termination(cause_mean);
+            self.pool.finish_work(a.worker, now);
+        }
 
         self.assignment_records.push(AssignmentRecord {
             task: a.task.0,
@@ -1030,9 +1019,6 @@ impl Runner {
     /// with straggler mitigation — duplicate an active task. If nothing is
     /// available the worker waits (and may eventually abandon).
     fn dispatch_worker(&mut self, w: WorkerId) {
-        if !self.pool.contains(w) {
-            return;
-        }
         // Lazy generation-based retirement (connection-pool style): a
         // member who joined before the last blackout is replaced at
         // checkout time instead of being scanned out during the outage.
@@ -1040,7 +1026,10 @@ impl Runner {
             self.retire_stale(w);
             return;
         }
-        self.seats[w.0 as usize].idle = false;
+        let Some(seat) = self.pool.data_mut(w) else {
+            return; // not a member
+        };
+        seat.idle = false;
 
         // 1. Must-fill: tasks with fewer live assignments than needed
         //    votes, in task order.
@@ -1090,11 +1079,12 @@ impl Runner {
             Some(tid) => self.assign(w, tid),
             None => {
                 // Nothing to do: the worker waits; maybe abandons later.
-                let seat = &mut self.seats[w.0 as usize];
-                seat.idle = true;
-                if self.cfg.churn {
-                    let at = self.queue.now() + seat.patience;
-                    self.queue.schedule(at, Event::Abandon(w, seat.abandon_epoch));
+                if let Some(seat) = self.pool.data_mut(w) {
+                    seat.idle = true;
+                    if self.cfg.churn {
+                        let at = self.queue.now() + seat.patience;
+                        self.queue.schedule(at, Event::Abandon(w, seat.abandon_epoch));
+                    }
                 }
             }
         }
@@ -1115,9 +1105,12 @@ impl Runner {
 
     fn assign(&mut self, w: WorkerId, tid: TaskId) {
         let now = self.now();
-        // Invalidate pending abandon checks.
-        self.seats[w.0 as usize].abandon_epoch += 1;
         let waited = self.pool.start_work(w, now);
+        if let Some(seat) = self.pool.data_mut(w) {
+            // Invalidate pending abandon checks.
+            seat.abandon_epoch += 1;
+            seat.stats.started += 1;
+        }
         self.platform.pay_wait(waited);
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::Checkout { worker: w.0, waited_ms: waited.as_millis() });
@@ -1137,7 +1130,6 @@ impl Runner {
             completed: None,
         });
         self.tasks[tix].active.push(aid);
-        self.maintainer.stats_mut(w).started += 1;
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::Dispatch { worker: w.0, task: tid.0, assignment: aid.0 });
         }
@@ -1222,16 +1214,20 @@ impl Runner {
     /// permitting) and top the reserve back up. Only `Waiting` members
     /// are eviction candidates: evicting a `Working` member would orphan
     /// their live assignment — the answer would still arrive, but against
-    /// a vanished member record, silently skipping the age/wait
-    /// accounting in `finish_work`. Reachable whenever an assignment
-    /// (e.g. a straggler replica) spans the batch boundary.
+    /// a vanished member record, silently skipping the stats and wait
+    /// accounting. Reachable whenever an assignment (e.g. a straggler
+    /// replica) spans the batch boundary.
     fn maintenance_step(&mut self) {
         let Some(mcfg) = self.cfg.maintenance else {
             self.ensure_recruitment();
             return;
         };
-        let members: Vec<WorkerId> = self.pool.waiting();
-        let flagged = self.maintainer.flag_evictions(members.into_iter(), &mcfg);
+        let waiting = self
+            .pool
+            .members()
+            .filter(|(_, m)| matches!(m.state, MemberState::Waiting { .. }))
+            .map(|(w, m)| (w, &m.data.stats));
+        let flagged = Maintainer::flag_evictions(waiting, &mcfg);
         for w in flagged {
             // Only evict when a trained replacement is ready — maintenance
             // never shrinks the pool (§4.2).
@@ -1330,7 +1326,7 @@ pub fn run_batched(
     let mut runner = Runner::new(cfg, population);
     runner.reserve_tasks(specs.len());
     runner.warm_up();
-    let obs = runner.obs_enabled();
+    let obs = runner.obs.is_some();
     let mut iter = specs.into_iter().peekable();
     let mut admit_all = || {
         while iter.peek().is_some() {
@@ -1374,7 +1370,7 @@ mod tests {
     fn warm_up_fills_pool() {
         let mut r = Runner::new(base_cfg(1), pop());
         r.warm_up();
-        assert_eq!(r.pool().len(), 8);
+        assert_eq!(r.pool.len(), 8);
     }
 
     #[test]
@@ -1509,7 +1505,6 @@ mod tests {
     // ------------------------------------------------------------------
 
     use crate::config::{CheckoutStrategy, PoolConfig};
-    use clamshell_crowd::MemberState;
 
     #[test]
     fn drain_settles_all_outstanding_wait_exactly() {
@@ -1576,7 +1571,7 @@ mod tests {
         // across the boundary.
         let members: Vec<WorkerId> = r.pool.members().map(|(w, _)| w).collect();
         for &w in &members {
-            let stats = r.maintainer.stats_mut(w);
+            let stats = &mut r.pool.data_mut(w).unwrap().stats;
             for _ in 0..3 {
                 // `started` normally ticks in `assign`; mirror it here so
                 // the evidence passes the maintainer's min-tasks gate.
@@ -1593,9 +1588,10 @@ mod tests {
             r.maintainer.evictions > 0,
             "waiting members with identical evidence are still evicted"
         );
-        // The boundary-spanning assignment still lands normally.
-        r.pool.finish_work(straggler, r.now(), true);
-        assert_eq!(r.pool.age(straggler), 1);
+        // The boundary-spanning assignment still lands normally, and the
+        // survivor keeps its evidence.
+        r.pool.finish_work(straggler, r.now());
+        assert_eq!(r.pool.member(straggler).unwrap().data.stats.completed.count(), 3);
     }
 
     #[test]
@@ -1676,7 +1672,7 @@ mod tests {
         };
         let mut r = Runner::new(cfg, pop());
         r.warm_up();
-        assert_eq!(r.pool().len(), 4, "warm-up fills to the floor, not capacity");
+        assert_eq!(r.pool.len(), 4, "warm-up fills to the floor, not capacity");
         r.run_batch(specs(8, 5));
         let report = r.finish();
         assert_eq!(report.tasks.len(), 8);
@@ -1696,18 +1692,18 @@ mod tests {
         };
         let mut r = Runner::new(cfg, pop());
         r.warm_up();
-        assert_eq!(r.pool().len(), 2);
+        assert_eq!(r.pool.len(), 2);
         while r.reserve.len() < 6 {
             let (_, ev) = r.queue.pop().expect("recruits in flight");
             r.handle(ev);
         }
         r.run_batch(specs(8, 5));
         assert!(
-            r.pool().len() > 2,
+            r.pool.len() > 2,
             "an 8-task batch against a 2-member floor must promote reserve workers (len={})",
-            r.pool().len()
+            r.pool.len()
         );
-        assert!(r.pool().len() <= r.pool().capacity());
+        assert!(r.pool.len() <= r.pool.capacity());
         let report = r.finish();
         assert_eq!(report.tasks.len(), 8);
     }

@@ -97,17 +97,6 @@ pub struct TaskResponse {
     pub worker_age: u32,
 }
 
-/// Lifecycle state of a task (§4.1's unassigned / active / complete).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaskPhase {
-    /// No assignment yet.
-    Unassigned,
-    /// At least one live assignment, quorum not yet met.
-    Active,
-    /// Quorum met; final labels aggregated.
-    Complete,
-}
-
 /// Mutable task state tracked by the runner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskState {
@@ -142,17 +131,6 @@ impl TaskState {
         }
     }
 
-    /// Current lifecycle phase.
-    pub fn phase(&self) -> TaskPhase {
-        if self.completed_at.is_some() {
-            TaskPhase::Complete
-        } else if self.active.is_empty() {
-            TaskPhase::Unassigned
-        } else {
-            TaskPhase::Active
-        }
-    }
-
     /// Whether `worker` already holds or held a live/completed assignment
     /// for this task (a worker never works the same task twice).
     /// `assignment_base` is the id of `assignments[0]` — zero for a
@@ -169,12 +147,6 @@ impl TaskState {
                 .active
                 .iter()
                 .any(|&a| assignments[(a.0 - assignment_base) as usize].worker == worker)
-    }
-
-    /// Latency from batch start to completion (Figure 3/10's per-task
-    /// latency), if complete.
-    pub fn completion_latency(&self) -> Option<SimDuration> {
-        self.completed_at.map(|t| t.since(self.created))
     }
 }
 
@@ -280,18 +252,6 @@ mod tests {
     #[should_panic]
     fn mismatched_rows_rejected() {
         let _ = TaskSpec::for_rows(vec![1, 2], vec![0]);
-    }
-
-    #[test]
-    fn phase_transitions() {
-        let mut ts = TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
-        assert_eq!(ts.phase(), TaskPhase::Unassigned);
-        ts.active.push(AssignmentId(0));
-        assert_eq!(ts.phase(), TaskPhase::Active);
-        ts.active.clear();
-        ts.completed_at = Some(t(5));
-        assert_eq!(ts.phase(), TaskPhase::Complete);
-        assert_eq!(ts.completion_latency(), Some(SimDuration::from_secs(5)));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   [`payment::CostLedger`].
 //! * [`slots::RetainerPool`] — the slot set of Figure 1 (S1…S4): which
 //!   workers currently hold a retainer slot, whether each is waiting or
-//!   working, with deterministic iteration order and wait-time accounting.
+//!   working, with deterministic iteration order, wait-time accounting,
+//!   and the caller's per-member data.
 //! * [`payment`] — the dollar ledger (wait pay, record pay, recruitment
 //!   fees) used for every cost figure (4, 11, 12).
 //!

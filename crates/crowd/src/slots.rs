@@ -8,6 +8,12 @@
 //! or *working* (running an assignment). Iteration order is deterministic
 //! (ordered by [`WorkerId`]) so the scheduler's choices are reproducible.
 //!
+//! Each [`Member`] record also carries the caller's per-member data `T`
+//! (`()` by default): it is created with `T::default()` when the worker
+//! joins and dropped when they leave. The runner keeps its whole
+//! per-worker state there (idle flag, abandon epoch, patience and the
+//! maintenance statistics), so one `leave` forgets a departed worker.
+//!
 //! Beyond the flat slot set, the pool carries production resource-pool
 //! lifecycle semantics (in the mold of database connection pools):
 //!
@@ -85,9 +91,9 @@ pub enum MemberState {
     },
 }
 
-/// Per-member bookkeeping.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Member {
+/// Per-member bookkeeping, plus the caller's data `T` for this member.
+#[derive(Debug, Clone)]
+pub struct Member<T = ()> {
     /// Current state.
     pub state: MemberState,
     /// When the worker joined the pool.
@@ -95,19 +101,17 @@ pub struct Member {
     /// Pool generation at join time; members below the pool's current
     /// generation are stale.
     pub generation: u64,
-    /// Number of assignments this member has *started* in this pool.
-    pub started: u32,
-    /// Number of assignments completed (not terminated).
-    pub completed: u32,
+    /// The caller's per-member data, `T::default()` at join.
+    pub data: T,
 }
 
 /// A bounded retainer pool with lifecycle semantics (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RetainerPool {
+#[derive(Debug, Clone)]
+pub struct RetainerPool<T = ()> {
     capacity: usize,
     config: PoolConfig,
     generation: u64,
-    members: BTreeMap<WorkerId, Member>,
+    members: BTreeMap<WorkerId, Member<T>>,
     /// Transition counters, present only when the run has observability
     /// enabled. `None` (the default) records nothing and keeps the pool
     /// byte-identical to a pre-obs build.
@@ -115,12 +119,14 @@ pub struct RetainerPool {
 }
 
 impl RetainerPool {
-    /// Create a pool with room for `capacity` workers (`Np` in Table 3)
-    /// and the inert default [`PoolConfig`].
+    /// Create a pool with room for `capacity` workers (`Np` in Table 3),
+    /// no per-member data and the inert default [`PoolConfig`].
     pub fn new(capacity: usize) -> Self {
         Self::with_config(capacity, PoolConfig::default())
     }
+}
 
+impl<T> RetainerPool<T> {
     /// Create a pool with explicit lifecycle knobs.
     pub fn with_config(capacity: usize, config: PoolConfig) -> Self {
         assert!(capacity > 0, "pool capacity must be positive");
@@ -218,7 +224,10 @@ impl RetainerPool {
 
     /// Add a worker in the `Waiting` state. Returns `false` (and does not
     /// add) if the pool is full or the worker is already a member.
-    pub fn join(&mut self, w: WorkerId, now: SimTime) -> bool {
+    pub fn join(&mut self, w: WorkerId, now: SimTime) -> bool
+    where
+        T: Default,
+    {
         if self.vacancies() == 0 || self.members.contains_key(&w) {
             return false;
         }
@@ -228,8 +237,7 @@ impl RetainerPool {
                 state: MemberState::Waiting { since: now },
                 joined: now,
                 generation: self.generation,
-                started: 0,
-                completed: 0,
+                data: T::default(),
             },
         );
         if let Some(obs) = &mut self.obs {
@@ -238,9 +246,9 @@ impl RetainerPool {
         true
     }
 
-    /// Remove a worker (eviction or abandonment). Returns the waiting
-    /// duration to settle (wait pay owed since they last became idle), or
-    /// `None` if the worker was not a member.
+    /// Remove a worker (eviction or abandonment), dropping their data.
+    /// Returns the waiting duration to settle (wait pay owed since they
+    /// last became idle), or `None` if the worker was not a member.
     pub fn leave(&mut self, w: WorkerId, now: SimTime) -> Option<SimDuration> {
         let m = self.members.remove(&w)?;
         if let Some(obs) = &mut self.obs {
@@ -262,8 +270,13 @@ impl RetainerPool {
     }
 
     /// Member record, if present.
-    pub fn member(&self, w: WorkerId) -> Option<&Member> {
+    pub fn member(&self, w: WorkerId) -> Option<&Member<T>> {
         self.members.get(&w)
+    }
+
+    /// The caller's data for member `w`, if present.
+    pub fn data_mut(&mut self, w: WorkerId) -> Option<&mut T> {
+        self.members.get_mut(&w).map(|m| &mut m.data)
     }
 
     /// Transition a waiting worker to working. Returns the waiting
@@ -274,7 +287,6 @@ impl RetainerPool {
         let waited = match m.state {
             MemberState::Waiting { since } => {
                 m.state = MemberState::Working { since: now };
-                m.started += 1;
                 now.since(since)
             }
             MemberState::Working { .. } => panic!("start_work: {w} already working"),
@@ -285,17 +297,13 @@ impl RetainerPool {
         waited
     }
 
-    /// Transition a working worker back to waiting. `completed` records
-    /// whether the assignment finished (vs being terminated). Returns the
-    /// work duration.
-    pub fn finish_work(&mut self, w: WorkerId, now: SimTime, completed: bool) -> SimDuration {
+    /// Transition a working worker back to waiting, whether the
+    /// assignment finished or was terminated. Returns the work duration.
+    pub fn finish_work(&mut self, w: WorkerId, now: SimTime) -> SimDuration {
         let m = self.members.get_mut(&w).expect("finish_work: not a member");
         let worked = match m.state {
             MemberState::Working { since } => {
                 m.state = MemberState::Waiting { since: now };
-                if completed {
-                    m.completed += 1;
-                }
                 now.since(since)
             }
             MemberState::Waiting { .. } => panic!("finish_work: {w} not working"),
@@ -325,14 +333,8 @@ impl RetainerPool {
     }
 
     /// All members in deterministic order.
-    pub fn members(&self) -> impl Iterator<Item = (WorkerId, &Member)> {
+    pub fn members(&self) -> impl Iterator<Item = (WorkerId, &Member<T>)> {
         self.members.iter().map(|(&w, m)| (w, m))
-    }
-
-    /// Number of assignments completed by `w` in this pool ("worker age"
-    /// in Figure 5's sense).
-    pub fn age(&self, w: WorkerId) -> u32 {
-        self.members.get(&w).map(|m| m.completed).unwrap_or(0)
     }
 }
 
@@ -370,20 +372,22 @@ mod tests {
         assert_eq!(waited, SimDuration::from_secs(10));
         assert_eq!(p.waiting(), vec![]);
         assert_eq!(p.working(), vec![WorkerId(0)]);
-        let worked = p.finish_work(WorkerId(0), t(25), true);
+        let worked = p.finish_work(WorkerId(0), t(25));
         assert_eq!(worked, SimDuration::from_secs(15));
-        assert_eq!(p.age(WorkerId(0)), 1);
         assert_eq!(p.waiting(), vec![WorkerId(0)]);
     }
 
     #[test]
-    fn terminated_work_does_not_increment_age() {
-        let mut p = RetainerPool::new(1);
-        p.join(WorkerId(3), t(0));
-        p.start_work(WorkerId(3), t(1));
-        p.finish_work(WorkerId(3), t(5), false);
-        assert_eq!(p.age(WorkerId(3)), 0);
-        assert_eq!(p.member(WorkerId(3)).unwrap().started, 1);
+    fn member_data_lives_from_join_to_leave() {
+        let mut p: RetainerPool<u32> = RetainerPool::with_config(2, PoolConfig::default());
+        assert_eq!(p.data_mut(WorkerId(0)), None);
+        p.join(WorkerId(0), t(0));
+        *p.data_mut(WorkerId(0)).unwrap() += 7;
+        p.start_work(WorkerId(0), t(1));
+        p.finish_work(WorkerId(0), t(2));
+        assert_eq!(p.member(WorkerId(0)).unwrap().data, 7, "transitions keep the data");
+        p.leave(WorkerId(0), t(3));
+        assert_eq!(p.data_mut(WorkerId(0)), None, "leave drops the data");
     }
 
     #[test]
@@ -441,7 +445,7 @@ mod tests {
     #[test]
     fn min_size_sets_the_fill_target() {
         let cfg = PoolConfig { min_size: Some(2), ..Default::default() };
-        let p = RetainerPool::with_config(5, cfg);
+        let p: RetainerPool = RetainerPool::with_config(5, cfg);
         assert_eq!(p.fill_target(), 2);
         assert_eq!(p.capacity(), 5);
     }
@@ -450,14 +454,14 @@ mod tests {
     #[should_panic]
     fn min_size_above_capacity_rejected() {
         let cfg = PoolConfig { min_size: Some(6), ..Default::default() };
-        let _ = RetainerPool::with_config(5, cfg);
+        let _: RetainerPool = RetainerPool::with_config(5, cfg);
     }
 
     #[test]
     #[should_panic]
     fn zero_min_size_rejected() {
         let cfg = PoolConfig { min_size: Some(0), ..Default::default() };
-        let _ = RetainerPool::with_config(5, cfg);
+        let _: RetainerPool = RetainerPool::with_config(5, cfg);
     }
 
     #[test]
@@ -497,7 +501,7 @@ mod tests {
         p.join(WorkerId(0), t(0));
         p.join(WorkerId(1), t(0));
         p.start_work(WorkerId(0), t(5));
-        p.finish_work(WorkerId(0), t(10), true);
+        p.finish_work(WorkerId(0), t(10));
         p.leave(WorkerId(1), t(12));
         let obs = p.obs().expect("enabled");
         assert_eq!(obs.joins, 2);
@@ -524,13 +528,13 @@ mod tests {
     #[test]
     fn lifo_checkout_prefers_most_recently_idle() {
         let cfg = PoolConfig { strategy: CheckoutStrategy::Lifo, ..Default::default() };
-        let mut p = RetainerPool::with_config(3, cfg);
+        let mut p: RetainerPool = RetainerPool::with_config(3, cfg);
         p.join(WorkerId(0), t(0));
         p.join(WorkerId(1), t(0));
         p.join(WorkerId(2), t(0));
         // Worker 0 works and comes back: now the most recently idle.
         p.start_work(WorkerId(0), t(5));
-        p.finish_work(WorkerId(0), t(30), true);
+        p.finish_work(WorkerId(0), t(30));
         let mut order = vec![WorkerId(0), WorkerId(1), WorkerId(2)];
         p.order_checkouts(&mut order);
         assert_eq!(

@@ -40,5 +40,5 @@ pub mod softmax;
 pub use datasets::Dataset;
 pub use linalg::Matrix;
 pub use logistic::LogisticRegression;
-pub use model::{Classifier, Example, SgdConfig};
+pub use model::{new_classifier, Classifier, Example, SgdConfig};
 pub use softmax::SoftmaxRegression;

@@ -87,6 +87,16 @@ pub trait Classifier {
     fn is_fit(&self) -> bool;
 }
 
+/// An untrained classifier for `n_classes`: binary logistic regression
+/// for two classes, softmax regression otherwise.
+pub fn new_classifier(n_classes: u32, sgd: SgdConfig) -> Box<dyn Classifier> {
+    if n_classes == 2 {
+        Box::new(crate::LogisticRegression::new(sgd))
+    } else {
+        Box::new(crate::SoftmaxRegression::new(n_classes, sgd))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

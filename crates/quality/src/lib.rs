@@ -13,17 +13,11 @@
 //! * [`em`] — Dawid–Skene-style expectation–maximization estimating worker
 //!   accuracies and consensus labels jointly (the family of [Ipeirotis et
 //!   al. 2010] / [Karger et al. 2011] cited by the paper).
-//! * [`agreement`] — inter-worker agreement scores (the quality signal the
-//!   paper suggests for quality-based pool maintenance, §4.2 "Extensions",
-//!   citing Callison-Burch 2009).
 
 #![warn(missing_docs)]
 
-pub mod agreement;
-pub mod confusion;
 pub mod em;
 pub mod voting;
 
-pub use confusion::{ConfusionEm, ConfusionResult};
 pub use em::{DawidSkene, EmConfig, EmResult};
-pub use voting::{majority_vote, majority_vote_weighted, Vote};
+pub use voting::{majority_vote, Vote};

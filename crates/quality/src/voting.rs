@@ -17,43 +17,23 @@ pub struct Vote {
 ///
 /// Returns `None` on an empty vote set.
 pub fn majority_vote(votes: &[Vote]) -> Option<u32> {
-    majority_vote_weighted(votes, |_| 1.0)
-}
-
-/// Weighted plurality vote; weights typically come from worker-quality
-/// estimates ([`crate::em`]). Returns `None` on empty input or if all
-/// weights are zero.
-pub fn majority_vote_weighted<F: Fn(u32) -> f64>(votes: &[Vote], weight: F) -> Option<u32> {
-    if votes.is_empty() {
-        return None;
-    }
-    // label -> (total weight, first index at which it took its final value)
-    let mut tally: Vec<(u32, f64, usize)> = Vec::new();
+    // label -> (count, first index at which it took its final value)
+    let mut tally: Vec<(u32, usize, usize)> = Vec::new();
     for (i, v) in votes.iter().enumerate() {
-        let w = weight(v.worker).max(0.0);
         match tally.iter_mut().find(|(l, _, _)| *l == v.label) {
             Some(entry) => {
-                entry.1 += w;
+                entry.1 += 1;
                 entry.2 = i;
             }
-            None => tally.push((v.label, w, i)),
+            None => tally.push((v.label, 1, i)),
         }
     }
     tally
         .into_iter()
-        .filter(|&(_, w, _)| w > 0.0)
-        // Max weight; ties -> earliest final update (smaller index wins),
+        // Max count; ties -> earliest final update (smaller index wins),
         // then smaller label, purely for determinism.
-        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.2.cmp(&a.2)).then(b.0.cmp(&a.0)))
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)).then(b.0.cmp(&a.0)))
         .map(|(l, _, _)| l)
-}
-
-/// How many *additional* answers a quality-controlled task still needs
-/// before it is complete: `quorum − received`, saturating at zero.
-/// This is the quantity straggler mitigation keys off when deciding how
-/// many concurrent assignments a task may hold (§4.1).
-pub fn remaining_votes(quorum: u32, received: usize) -> u32 {
-    quorum.saturating_sub(received as u32)
 }
 
 #[cfg(test)]
@@ -87,29 +67,6 @@ mod tests {
         assert_eq!(majority_vote(&[v(0, 1), v(1, 1), v(2, 0), v(3, 0)]), Some(1));
     }
 
-    #[test]
-    fn weighted_vote_respects_quality() {
-        // One expert (weight 3) outvotes two noisy workers (weight 1).
-        let votes = [v(0, 1), v(1, 0), v(2, 0)];
-        let res = majority_vote_weighted(&votes, |w| if w == 0 { 3.0 } else { 1.0 });
-        assert_eq!(res, Some(1));
-    }
-
-    #[test]
-    fn zero_weights_are_ignored() {
-        let votes = [v(0, 1), v(1, 0)];
-        assert_eq!(majority_vote_weighted(&votes, |w| if w == 0 { 0.0 } else { 1.0 }), Some(0));
-        assert_eq!(majority_vote_weighted(&votes, |_| 0.0), None);
-    }
-
-    #[test]
-    fn remaining_votes_saturates() {
-        assert_eq!(remaining_votes(3, 0), 3);
-        assert_eq!(remaining_votes(3, 2), 1);
-        assert_eq!(remaining_votes(3, 3), 0);
-        assert_eq!(remaining_votes(3, 5), 0);
-    }
-
     // ------------------------------------------------------------------
     // Edge cases: empty ballots and exact ties must behave predictably —
     // the runner's complete_task leans on this determinism.
@@ -118,8 +75,6 @@ mod tests {
     #[test]
     fn empty_ballots_never_invent_labels() {
         assert_eq!(majority_vote(&[]), None);
-        assert_eq!(majority_vote_weighted(&[], |_| 1.0), None);
-        assert_eq!(majority_vote_weighted(&[], |_| 0.0), None);
     }
 
     #[test]
@@ -148,15 +103,5 @@ mod tests {
         // track the position, not the numeric value.
         assert_eq!(majority_vote(&[v(0, 7), v(1, 7), v(2, 1), v(3, 1)]), Some(7));
         assert_eq!(majority_vote(&[v(0, 1), v(1, 1), v(2, 7), v(3, 7)]), Some(1));
-    }
-
-    #[test]
-    fn weighted_exact_tie_breaks_by_earliest_final_update() {
-        // Equal total weight on both labels: index order decides, so the
-        // outcome is stable under re-evaluation and weight permutation.
-        let votes = [v(0, 4), v(1, 5)];
-        assert_eq!(majority_vote_weighted(&votes, |_| 2.5), Some(4));
-        let reversed = [v(1, 5), v(0, 4)];
-        assert_eq!(majority_vote_weighted(&reversed, |_| 2.5), Some(5));
     }
 }

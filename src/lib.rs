@@ -55,7 +55,7 @@
 //! | [`trace`] | Worker populations calibrated to the paper's deployment statistics |
 //! | [`crowd`] | Simulated crowd platform: retainer slots, recruitment, payments |
 //! | [`learn`] | ML substrate: logistic/softmax regression, uncertainty sampling, dataset generators |
-//! | [`quality`] | Quality control: majority voting, Dawid–Skene EM, inter-worker agreement |
+//! | [`quality`] | Quality control: majority voting, Dawid–Skene EM |
 //! | [`core`] | The CLAMShell system: runner, straggler mitigation, pool maintenance, hybrid learning, baselines |
 //! | [`sweep`] | Deterministic parallel sweep engine: seed × scenario grids on the calling thread plus scoped helpers |
 //! | [`stream`] | Streaming service mode: open-loop task streams, periodic checkpoints, bounded-memory retirement |
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use clamshell_learn::sampling::Uncertainty;
     pub use clamshell_learn::Dataset;
     pub use clamshell_obs::{MetricsSnapshot, ObsConfig, ObsReport};
-    pub use clamshell_quality::{majority_vote, ConfusionEm, DawidSkene, EmConfig};
+    pub use clamshell_quality::{majority_vote, DawidSkene, EmConfig};
     pub use clamshell_scenarios::{CompactReport, ScenarioDef};
     pub use clamshell_sim::arrivals::ArrivalCounter;
     pub use clamshell_sim::{SimDuration, SimTime};

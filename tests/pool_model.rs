@@ -20,7 +20,7 @@ enum Op {
     Join(u32),
     Leave(u32),
     Start(u32),
-    Finish(u32, bool),
+    Finish(u32),
     Bump,
     Advance(u64),
 }
@@ -28,11 +28,11 @@ enum Op {
 fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
     // The vendored proptest has no `prop_oneof`; a selector tuple keeps
     // the distribution explicit and fully shrinkable.
-    (0u32..6, 0..IDS, any::<bool>(), 1u64..120).prop_map(|(sel, id, completed, dt)| match sel {
+    (0u32..6, 0..IDS, 1u64..120).prop_map(|(sel, id, dt)| match sel {
         0 => Op::Join(id),
         1 => Op::Leave(id),
         2 => Op::Start(id),
-        3 => Op::Finish(id, completed),
+        3 => Op::Finish(id),
         4 => Op::Bump,
         _ => Op::Advance(dt),
     })
@@ -45,8 +45,6 @@ struct RefMember {
     waiting_since: Option<SimTime>,
     working_since: Option<SimTime>,
     generation: u64,
-    started: u32,
-    completed: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -73,8 +71,6 @@ impl RefPool {
             waiting_since: Some(now),
             working_since: None,
             generation: self.generation,
-            started: 0,
-            completed: 0,
         });
         true
     }
@@ -100,17 +96,13 @@ impl RefPool {
         let m = self.members.iter_mut().find(|m| m.id == w).unwrap();
         let since = m.waiting_since.take().unwrap();
         m.working_since = Some(now);
-        m.started += 1;
         now.since(since)
     }
 
-    fn finish(&mut self, w: WorkerId, now: SimTime, completed: bool) -> SimDuration {
+    fn finish(&mut self, w: WorkerId, now: SimTime) -> SimDuration {
         let m = self.members.iter_mut().find(|m| m.id == w).unwrap();
         let since = m.working_since.take().unwrap();
         m.waiting_since = Some(now);
-        if completed {
-            m.completed += 1;
-        }
         now.since(since)
     }
 
@@ -153,8 +145,6 @@ fn check_agreement(pool: &RetainerPool, lifo_pool: &RetainerPool, model: &RefPoo
         );
         if let Some(rm) = model.find(w) {
             let m = pool.member(w).unwrap();
-            assert_eq!(m.started, rm.started);
-            assert_eq!(m.completed, rm.completed);
             assert_eq!(m.generation, rm.generation);
             match m.state {
                 MemberState::Waiting { since } => assert_eq!(Some(since), rm.waiting_since),
@@ -218,12 +208,12 @@ proptest! {
                         prop_assert_eq!(b, r);
                     }
                 }
-                Op::Finish(id, completed) => {
+                Op::Finish(id) => {
                     let w = WorkerId(id);
                     if model.is_working(w) {
-                        let a = pool.finish_work(w, now, completed);
-                        let b = lifo_pool.finish_work(w, now, completed);
-                        let r = model.finish(w, now, completed);
+                        let a = pool.finish_work(w, now);
+                        let b = lifo_pool.finish_work(w, now);
+                        let r = model.finish(w, now);
                         prop_assert_eq!(a, r);
                         prop_assert_eq!(b, r);
                     }
