@@ -14,7 +14,7 @@ use crate::config::RunConfig;
 use crate::learning::{LearningConfig, LearningOutcome, LearningRunner, Strategy};
 use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::TaskSpec;
-use clamshell_crowd::{SimPlatform, WorkerId};
+use clamshell_crowd::{SimPlatform, Worker, WorkerId};
 use clamshell_learn::eval::{accuracy, LearningCurve};
 use clamshell_learn::model::{new_classifier, Example, SgdConfig};
 use clamshell_learn::Dataset;
@@ -73,7 +73,10 @@ pub fn run_open_market(
     let mut assignments: Vec<AssignmentRecord> = Vec::new();
     let mut next_task = 0usize;
     let mut lat = OnlineStats::new();
-    let mut ages: std::collections::BTreeMap<WorkerId, u32> = Default::default();
+    // Every worker admitted so far, indexed by `WorkerId` (the platform
+    // numbers arrivals densely): their record and their age, the number
+    // of tasks they have completed.
+    let mut workers: Vec<(Worker, u32)> = Vec::new();
     let mut finished = SimTime::ZERO;
 
     // Geometric session length with the configured mean (>= 1 task).
@@ -97,7 +100,10 @@ pub fn run_open_market(
             next_arrival +=
                 clamshell_sim::time::SimDuration::from_secs_f64(interarrival.sample(&mut rng));
             let recruit_delay = platform.start_recruitment();
-            let w = platform.worker_arrives();
+            let worker = platform.worker_arrives();
+            let w = worker.id;
+            debug_assert_eq!(w.0 as usize, workers.len(), "worker ids are dense");
+            workers.push((worker, 0));
             let session = sample_session(&mut rng);
             heap.push((std::cmp::Reverse(next_arrival + recruit_delay), w, session));
             continue;
@@ -107,15 +113,16 @@ pub fn run_open_market(
         };
         let spec = &specs[next_task];
         let ng = spec.ng();
-        let dur = platform.sample_task_duration(w, ng);
+        let (worker, age) = &mut workers[w.0 as usize];
+        let dur = platform.sample_task_duration(worker, ng);
         let end = at + dur;
         platform.pay_records(ng as u64);
-        let age = *ages.get(&w).unwrap_or(&0);
         // Open-market quorum is 1: the single answer is final. Classes
         // are inferred from the spec (open-market runs carry no
         // RunConfig).
         let n_classes = spec.truths.iter().copied().max().unwrap_or(0).max(1) + 1;
-        let labels = platform.sample_labels(w, &spec.truths, n_classes);
+        let mut labels = Vec::with_capacity(spec.truths.len());
+        worker.sample_labels_into(&spec.truths, n_classes, &mut labels);
         let correct = labels.iter().zip(&spec.truths).filter(|(a, b)| a == b).count() as u32;
         tasks.push(TaskRecord {
             task: next_task as u32,
@@ -125,7 +132,7 @@ pub fn run_open_market(
             completed: end,
             winner: w,
             winner_span: dur,
-            winner_age: age,
+            winner_age: *age,
             correct,
         });
         assignments.push(AssignmentRecord {
@@ -137,7 +144,7 @@ pub fn run_open_market(
             terminated: false,
         });
         lat.push(end.as_secs_f64());
-        *ages.entry(w).or_insert(0) += 1;
+        *age += 1;
         finished = finished.max(end);
         next_task += 1;
         if session_left > 1 {

@@ -2,8 +2,10 @@
 //! eviction decision (§4.2–§4.3).
 //!
 //! A worker's [`WorkerStats`] live in the runner's pool member record, so
-//! they exist exactly while the worker is in the pool. The [`Maintainer`]
-//! judges those records and counts what maintenance did.
+//! they exist exactly while the worker is in the pool. The eviction
+//! policy is a set of free functions over those records: [`estimate`],
+//! [`should_evict`] and [`flag_evictions`]. The runner counts what
+//! maintenance did.
 
 use crate::config::MaintenanceConfig;
 use clamshell_crowd::WorkerId;
@@ -125,105 +127,74 @@ impl WorkerStats {
     }
 }
 
-/// The Maintainer: the eviction policy over [`WorkerStats`], and the
-/// maintenance counters.
-#[derive(Debug, Clone, Default)]
-pub struct Maintainer {
-    /// Total workers evicted so far (for Figures 7 and 14).
-    pub evictions: u64,
-    /// Workers who walked out mid-assignment (adversity churn). Tracked
-    /// here because churn and eviction compete for the same reserve:
-    /// every walkout consumes a replacement that maintenance could have
-    /// spent on a slow worker.
-    pub walkouts: u64,
+/// The worker's best latency estimate under the current config:
+/// TermEst-adjusted when enabled, completed-only otherwise.
+pub fn estimate(s: &WorkerStats, cfg: &MaintenanceConfig) -> Option<f64> {
+    if s.started == 0 {
+        return None;
+    }
+    Some(if cfg.use_termest { s.termest_mean(cfg.termest_alpha) } else { s.naive_mean() })
 }
 
-impl Maintainer {
-    /// Empty maintainer.
-    pub fn new() -> Self {
-        Self::default()
+/// The eviction decision for one worker (§4.2): flag when the latency
+/// estimate is significantly above `PMℓ` by a one-sided test.
+///
+/// The significance test runs on the completed-task sample; TermEst
+/// shifts its mean (the paper: "our formulation is equivalent to
+/// modifying the latency threshold on a per worker basis"). Workers
+/// whose every task was terminated carry no completed-sample variance,
+/// so they are flagged on the raw TermEst estimate once they have
+/// enough attempts.
+pub fn should_evict(s: &WorkerStats, cfg: &MaintenanceConfig) -> bool {
+    use crate::config::MaintenanceObjective as Obj;
+    if s.started < cfg.min_tasks {
+        return false;
     }
-
-    /// The worker's best latency estimate under the current config:
-    /// TermEst-adjusted when enabled, completed-only otherwise.
-    pub fn estimate(s: &WorkerStats, cfg: &MaintenanceConfig) -> Option<f64> {
-        if s.started == 0 {
-            return None;
+    // Quality leg (§4.2 Extensions): flag workers whose agreement
+    // with the voted consensus is significantly below the floor.
+    let quality_flag = match cfg.objective {
+        Obj::Speed => false,
+        Obj::Quality { min_agreement } | Obj::SpeedAndQuality { min_agreement } => {
+            s.agreement_below(min_agreement, cfg.alpha, cfg.min_tasks)
         }
-        Some(if cfg.use_termest { s.termest_mean(cfg.termest_alpha) } else { s.naive_mean() })
+    };
+    if quality_flag {
+        return true;
     }
+    if matches!(cfg.objective, Obj::Quality { .. }) {
+        return false; // quality-only maintenance ignores speed
+    }
+    let est = match estimate(s, cfg) {
+        Some(e) => e,
+        None => return false,
+    };
+    if s.completed.count() >= 2 {
+        // Shift the completed sample by the TermEst correction and run
+        // the one-sided test against PMℓ. Shifting the mean leaves the
+        // variance unchanged, so test the unshifted sample against a
+        // threshold shifted the other way.
+        let shift = est - s.completed.mean();
+        let threshold = cfg.threshold_per_label_secs - shift;
+        s.completed.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
+    } else {
+        // No (or single) completed sample: decide on the point
+        // estimate alone.
+        est > cfg.threshold_per_label_secs
+    }
+}
 
-    /// The eviction decision for one worker (§4.2): flag when the latency
-    /// estimate is significantly above `PMℓ` by a one-sided test.
-    ///
-    /// The significance test runs on the completed-task sample; TermEst
-    /// shifts its mean (the paper: "our formulation is equivalent to
-    /// modifying the latency threshold on a per worker basis"). Workers
-    /// whose every task was terminated carry no completed-sample variance,
-    /// so they are flagged on the raw TermEst estimate once they have
-    /// enough attempts.
-    pub fn should_evict(s: &WorkerStats, cfg: &MaintenanceConfig) -> bool {
-        use crate::config::MaintenanceObjective as Obj;
-        if s.started < cfg.min_tasks {
-            return false;
-        }
-        // Quality leg (§4.2 Extensions): flag workers whose agreement
-        // with the voted consensus is significantly below the floor.
-        let quality_flag = match cfg.objective {
-            Obj::Speed => false,
-            Obj::Quality { min_agreement } | Obj::SpeedAndQuality { min_agreement } => {
-                s.agreement_below(min_agreement, cfg.alpha, cfg.min_tasks)
-            }
-        };
-        if quality_flag {
-            return true;
-        }
-        if matches!(cfg.objective, Obj::Quality { .. }) {
-            return false; // quality-only maintenance ignores speed
-        }
-        let est = match Self::estimate(s, cfg) {
-            Some(e) => e,
-            None => return false,
-        };
-        if s.completed.count() >= 2 {
-            // Shift the completed sample by the TermEst correction and run
-            // the one-sided test against PMℓ. Shifting the mean leaves the
-            // variance unchanged, so test the unshifted sample against a
-            // threshold shifted the other way.
-            let shift = est - s.completed.mean();
-            let threshold = cfg.threshold_per_label_secs - shift;
-            s.completed.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
-        } else {
-            // No (or single) completed sample: decide on the point
-            // estimate alone.
-            est > cfg.threshold_per_label_secs
-        }
-    }
-
-    /// The pool members flagged for eviction, slowest-estimate first (so
-    /// limited reserves replace the worst workers).
-    pub fn flag_evictions<'a>(
-        members: impl Iterator<Item = (WorkerId, &'a WorkerStats)>,
-        cfg: &MaintenanceConfig,
-    ) -> Vec<WorkerId> {
-        let mut flagged: Vec<(f64, WorkerId)> = members
-            .filter(|(_, s)| Self::should_evict(s, cfg))
-            .map(|(w, s)| (Self::estimate(s, cfg).unwrap_or(0.0), w))
-            .collect();
-        flagged.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        flagged.into_iter().map(|(_, w)| w).collect()
-    }
-
-    /// Record an eviction (for the replacement-rate figures).
-    pub fn note_eviction(&mut self) {
-        self.evictions += 1;
-    }
-
-    /// Count a mid-assignment walkout. The departed worker's stats go
-    /// with their pool member record.
-    pub fn note_walkout(&mut self) {
-        self.walkouts += 1;
-    }
+/// The pool members flagged for eviction, slowest-estimate first (so
+/// limited reserves replace the worst workers).
+pub fn flag_evictions<'a>(
+    members: impl Iterator<Item = (WorkerId, &'a WorkerStats)>,
+    cfg: &MaintenanceConfig,
+) -> Vec<WorkerId> {
+    let mut flagged: Vec<(f64, WorkerId)> = members
+        .filter(|(_, s)| should_evict(s, cfg))
+        .map(|(w, s)| (estimate(s, cfg).unwrap_or(0.0), w))
+        .collect();
+    flagged.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    flagged.into_iter().map(|(_, w)| w).collect()
 }
 
 #[cfg(test)]
@@ -304,19 +275,19 @@ mod tests {
         for i in 0..10 {
             s.record_completion(12.0 + (i % 3) as f64, 1); // ~13 s/label
         }
-        assert!(Maintainer::should_evict(&s, &cfg()));
+        assert!(should_evict(&s, &cfg()));
     }
 
     #[test]
     fn eviction_spares_fast_and_unknown_workers() {
-        assert!(!Maintainer::should_evict(&worker(10, 10, 3.0), &cfg()));
-        assert!(!Maintainer::should_evict(&WorkerStats::default(), &cfg()), "no evidence yet");
+        assert!(!should_evict(&worker(10, 10, 3.0), &cfg()));
+        assert!(!should_evict(&WorkerStats::default(), &cfg()), "no evidence yet");
     }
 
     #[test]
     fn eviction_requires_evidence() {
         let s = worker(1, 1, 50.0);
-        assert!(!Maintainer::should_evict(&s, &cfg()), "one task is not enough (min_tasks=3)");
+        assert!(!should_evict(&s, &cfg()), "one task is not enough (min_tasks=3)");
     }
 
     #[test]
@@ -330,8 +301,8 @@ mod tests {
         }
         let with = cfg(); // use_termest: true
         let without = MaintenanceConfig { use_termest: false, ..cfg() };
-        assert!(Maintainer::should_evict(&s, &with), "TermEst should flag");
-        assert!(!Maintainer::should_evict(&s, &without), "naive estimate should miss");
+        assert!(should_evict(&s, &with), "TermEst should flag");
+        assert!(!should_evict(&s, &without), "naive estimate should miss");
     }
 
     #[test]
@@ -345,8 +316,8 @@ mod tests {
         // them, quality maintenance must not.
         let mut s = worker(10, 10, 2.0); // very fast
         s.record_quality(4, 10); // 40% agreement
-        assert!(!Maintainer::should_evict(&s, &cfg()), "speed objective ignores quality");
-        assert!(Maintainer::should_evict(&s, &qcfg), "quality objective flags them");
+        assert!(!should_evict(&s, &cfg()), "speed objective ignores quality");
+        assert!(should_evict(&s, &qcfg), "quality objective flags them");
     }
 
     #[test]
@@ -360,8 +331,8 @@ mod tests {
         // though speed maintenance would evict.
         let mut s = worker(10, 10, 20.0);
         s.record_quality(19, 20);
-        assert!(Maintainer::should_evict(&s, &cfg()), "speed objective would evict");
-        assert!(!Maintainer::should_evict(&s, &qcfg), "quality objective keeps them");
+        assert!(should_evict(&s, &cfg()), "speed objective would evict");
+        assert!(!should_evict(&s, &qcfg), "quality objective keeps them");
     }
 
     #[test]
@@ -377,9 +348,9 @@ mod tests {
         sloppy.record_quality(6, 20); // fast but inaccurate
         let mut good = worker(8, 8, 2.0);
         good.record_quality(19, 20);
-        assert!(Maintainer::should_evict(&slow, &both));
-        assert!(Maintainer::should_evict(&sloppy, &both));
-        assert!(!Maintainer::should_evict(&good, &both));
+        assert!(should_evict(&slow, &both));
+        assert!(should_evict(&sloppy, &both));
+        assert!(!should_evict(&good, &both));
     }
 
     #[test]
@@ -398,7 +369,7 @@ mod tests {
             .into_iter()
             .map(|(id, lat)| (WorkerId(id), worker(6, 6, lat)))
             .collect();
-        let flagged = Maintainer::flag_evictions(stats.iter().map(|(w, s)| (*w, s)), &cfg());
+        let flagged = flag_evictions(stats.iter().map(|(w, s)| (*w, s)), &cfg());
         assert_eq!(flagged, vec![WorkerId(3), WorkerId(0), WorkerId(1)]);
     }
 }

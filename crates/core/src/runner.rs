@@ -7,13 +7,18 @@
 //! through worker arrivals, assignment completions, terminations, and
 //! abandonments.
 //!
-//! Worker state: a pool member's idle flag, abandon epoch, patience and
-//! maintenance statistics ride in its `RetainerPool` member record, so
-//! they exist exactly while the worker is in the pool. The reserve is one
-//! map keyed by `WorkerId`; workers enter it only on arrival, so reserve
-//! order is arrival order is `WorkerId` order. Every pool exit goes
-//! through `leave_pool`, and workers never rejoin, so nothing the runner
-//! holds outlives a departed worker.
+//! Worker state: a worker's whole state is one record, held by whoever
+//! holds the worker. A pool member's record is its `RetainerPool` member
+//! data: the platform's [`Worker`] (profile and private RNG stream), the
+//! idle flag, abandon epoch, patience and maintenance statistics. A
+//! reserve worker's record is their reserve entry: when they started
+//! waiting off-pool, and their `Worker`. The reserve is one map keyed by
+//! `WorkerId`; workers enter it only on arrival, so reserve order is
+//! arrival order is `WorkerId` order. A departing worker's record is
+//! dropped where they are removed — `leave_pool` for every pool exit, the
+//! reserve timeout and `finish` for the reserve — and workers never
+//! rejoin, so per-worker memory is bounded by the pool plus the reserve,
+//! not by everyone ever recruited.
 //!
 //! Determinism contract: for a fixed [`RunConfig`] (including seed) and
 //! task stream, two runs produce byte-identical [`RunReport`]s. Events at
@@ -23,12 +28,12 @@
 use crate::adversity::{streams, BurstFault, ChurnFault};
 use crate::config::{QcMode, RunConfig};
 use crate::lifeguard::route;
-use crate::maintainer::{Maintainer, WorkerStats};
+use crate::maintainer::{self, WorkerStats};
 use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::{
     Assignment, AssignmentId, LabelSpan, StateView, TaskId, TaskResponse, TaskSpec, TaskState,
 };
-use clamshell_crowd::{CostLedger, MemberState, RetainerPool, SimPlatform, WorkerId};
+use clamshell_crowd::{CostLedger, MemberState, RetainerPool, SimPlatform, Worker, WorkerId};
 use clamshell_obs::{RunObserver, TraceKind};
 use clamshell_quality::voting::{majority_vote, Vote};
 use clamshell_sim::events::EventQueue;
@@ -90,10 +95,16 @@ pub struct LifecycleCounts {
     pub stale_retired: u64,
 }
 
-/// A pool member's runner-side state, kept in its pool member record:
-/// created when the worker joins, dropped when they leave.
-#[derive(Default)]
+/// A pool member's whole state, kept in its pool member record: built
+/// when the worker joins, dropped when they leave.
+///
+/// Invariant: a live assignment's worker is always a pool member. Only
+/// `Waiting` members are evicted or abandon (idle implies waiting), and
+/// a walkout ends the assignment before `leave_pool`, so the lookups
+/// that draw from a working member's [`Worker`] cannot miss.
 struct Seat {
+    /// The platform's record of the worker: profile and RNG stream.
+    worker: Worker,
     /// Idle in the pool and dispatchable right now.
     idle: bool,
     /// Abandon-check invalidation epoch, bumped on every assignment.
@@ -111,7 +122,6 @@ pub struct Runner {
     platform: SimPlatform,
     queue: EventQueue<Event>,
     pool: RetainerPool<Seat>,
-    maintainer: Maintainer,
     rng: Rng,
 
     tasks: Vec<TaskState>,
@@ -131,9 +141,9 @@ pub struct Runner {
     batch_index: usize,
 
     /// Recruited workers not yet placed in the pool (the maintenance
-    /// reserve), with when each started waiting off-pool. Workers enter
-    /// it only on arrival, so key order is arrival order.
-    reserve: BTreeMap<WorkerId, SimTime>,
+    /// reserve): when each started waiting off-pool, and their record.
+    /// Workers enter it only on arrival, so key order is arrival order.
+    reserve: BTreeMap<WorkerId, (SimTime, Worker)>,
     recruits_in_flight: usize,
 
     task_records: Vec<TaskRecord>,
@@ -153,6 +163,8 @@ pub struct Runner {
     outage: Option<OutageSchedule>,
     /// Workers who walked out mid-assignment.
     workers_departed: u64,
+    /// Workers evicted by pool maintenance (Figures 7 and 14).
+    workers_evicted: u64,
 
     // Pool lifecycle state (all inert at the default `PoolConfig`).
     /// Reserve idle timeout and its dedicated jitter stream; `Some` only
@@ -236,7 +248,6 @@ impl Runner {
             // busy worker, plus abandon checks and recruitment arrivals).
             queue: EventQueue::with_capacity(cfg.pool_size * 4 + 16),
             pool,
-            maintainer: Maintainer::new(),
             tasks: Vec::new(),
             assignments: Vec::new(),
             task_base: 0,
@@ -255,6 +266,7 @@ impl Runner {
             churn_fault,
             outage,
             workers_departed: 0,
+            workers_evicted: 0,
             pool_idle,
             last_outage_end: SimTime::ZERO,
             reserve_expired: 0,
@@ -309,8 +321,8 @@ impl Runner {
     /// validate the §4.2 pool-convergence model against the closed form.
     pub fn pool_true_mpl(&self) -> f64 {
         let mut acc = OnlineStats::new();
-        for (w, _) in self.pool.members() {
-            acc.push(self.platform.profile(w).mean_latency);
+        for (_, m) in self.pool.members() {
+            acc.push(m.data.worker.profile.mean_latency);
         }
         acc.mean()
     }
@@ -386,7 +398,7 @@ impl Runner {
         for w in members {
             self.leave_pool(w, now);
         }
-        for (_, since) in std::mem::take(&mut self.reserve) {
+        for (since, _) in std::mem::take(&mut self.reserve).into_values() {
             self.platform.pay_wait(now.since(since));
         }
         // Fold the pool's transition aggregates into the registry, then
@@ -403,7 +415,7 @@ impl Runner {
             batches: self.batch_stats,
             cost: *self.platform.ledger(),
             workers_recruited: self.platform.workers_recruited(),
-            workers_evicted: self.maintainer.evictions,
+            workers_evicted: self.workers_evicted,
             workers_departed: self.workers_departed,
             reserve_expired: self.reserve_expired,
             stale_retired: self.stale_retired,
@@ -478,7 +490,7 @@ impl Runner {
     pub fn lifecycle_counts(&self) -> LifecycleCounts {
         LifecycleCounts {
             recruited: self.platform.workers_recruited(),
-            evicted: self.maintainer.evictions,
+            evicted: self.workers_evicted,
             departed: self.workers_departed,
             reserve_expired: self.reserve_expired,
             stale_retired: self.stale_retired,
@@ -611,16 +623,17 @@ impl Runner {
 
     fn on_worker_ready(&mut self) {
         self.recruits_in_flight = self.recruits_in_flight.saturating_sub(1);
-        let w = self.platform.worker_arrives();
+        let worker = self.platform.worker_arrives();
         let now = self.now();
         // Arrivals fill the pool to its replenishment floor; beyond that
         // they wait in the reserve (and may be promoted by a demand
         // surge). Without a `min_size` the floor is the capacity, which
         // is the historical vacancy check.
         if self.pool.len() < self.pool.fill_target() {
-            self.join_pool(w);
+            self.join_pool(worker);
         } else {
-            self.reserve.insert(w, now);
+            let w = worker.id;
+            self.reserve.insert(w, (now, worker));
             if let Some((timeout, rng)) = &mut self.pool_idle {
                 // Jitter each deadline ±10% from the dedicated stream so
                 // simultaneous arrivals don't expire in lockstep.
@@ -631,12 +644,12 @@ impl Runner {
         }
     }
 
-    /// Release a reserve worker whose idle timeout elapsed. Stale checks
-    /// (the worker was promoted into the pool meanwhile) are no-ops:
-    /// promotion removes them from the reserve, and workers never
-    /// re-enter it, so membership is the liveness test.
+    /// Release a reserve worker whose idle timeout elapsed, dropping
+    /// their record. Stale checks (the worker was promoted into the pool
+    /// meanwhile) are no-ops: promotion removes them from the reserve,
+    /// and workers never re-enter it, so membership is the liveness test.
     fn on_reserve_timeout(&mut self, w: WorkerId) {
-        let Some(since) = self.reserve.remove(&w) else {
+        let Some((since, _)) = self.reserve.remove(&w) else {
             return;
         };
         let now = self.now();
@@ -651,24 +664,26 @@ impl Runner {
     /// reserve order is arrival order) into the pool, settling the wait
     /// they were paid off-pool. `false` when the reserve is empty.
     fn promote_reserve(&mut self) -> bool {
-        let Some((w, since)) = self.reserve.pop_first() else {
+        let Some((_, (since, worker))) = self.reserve.pop_first() else {
             return false;
         };
         self.platform.pay_wait(self.now().since(since));
-        self.join_pool(w);
+        self.join_pool(worker);
         true
     }
 
-    fn join_pool(&mut self, w: WorkerId) {
+    /// Seat `worker` in the pool, sampling their patience, and point them
+    /// at work.
+    fn join_pool(&mut self, mut worker: Worker) {
         let now = self.now();
-        let joined = self.pool.join(w, now);
+        let w = worker.id;
+        let patience = worker.sample_patience();
+        let seat =
+            Seat { worker, idle: false, abandon_epoch: 0, patience, stats: WorkerStats::default() };
+        let joined = self.pool.join(w, now, seat);
         debug_assert!(joined, "join_pool on full pool");
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::PoolJoin { worker: w.0, occupancy: self.pool.len() as u64 });
-        }
-        let patience = self.platform.sample_patience(w);
-        if let Some(seat) = self.pool.data_mut(w) {
-            seat.patience = patience;
         }
         self.dispatch_worker(w);
     }
@@ -691,10 +706,11 @@ impl Runner {
         self.refill_vacancy();
     }
 
-    /// The one pool-exit path: free the slot and drop the member's seat,
-    /// pay the wait owed since the member last became idle (none while
-    /// working) and record `PoolLeave` with the post-departure occupancy.
-    /// A no-op for a worker who is not a member.
+    /// The one pool-exit path: free the slot and drop the member's seat
+    /// (the worker's whole record), pay the wait owed since the member
+    /// last became idle (none while working) and record `PoolLeave` with
+    /// the post-departure occupancy. A no-op for a worker who is not a
+    /// member.
     fn leave_pool(&mut self, w: WorkerId, now: SimTime) {
         if let Some(wait) = self.pool.leave(w, now) {
             self.platform.pay_wait(wait);
@@ -731,8 +747,7 @@ impl Runner {
     /// Adversity churn: the worker walks out mid-assignment. No answer is
     /// submitted and no work payment is due (unlike a requester-side
     /// termination, the worker forfeits by leaving); the retainer slot
-    /// and the worker's stats go, and re-recruitment starts immediately.
-    /// The maintainer counts the walkout against the reserve budget.
+    /// and the worker's record go, and re-recruitment starts immediately.
     fn on_walkout(&mut self, aid: AssignmentId) {
         let Some(a) = self.live_assignment(aid) else {
             return; // terminated (straggler cap / completion) before walking
@@ -752,9 +767,9 @@ impl Runner {
             terminated: true,
         });
         // The worker is gone for good: free the slot (no wait is owed
-        // while working).
+        // while working). The assignment ended above, so the invariant on
+        // `Seat` holds once the record is dropped.
         self.leave_pool(w, now);
-        self.maintainer.note_walkout();
         self.workers_departed += 1;
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::Walkout { worker: w.0, task: a.task.0, assignment: aid.0 });
@@ -779,20 +794,24 @@ impl Runner {
         self.assignments[aix].completed = Some(now);
         self.tasks[tix].active.retain(|&x| x != aid);
 
-        // Produce the answer. The truths slice borrows straight out of the
-        // task table (disjoint from `self.platform` and the arena), so no
-        // per-assignment clone of the spec is needed — and the labels are
-        // appended to the shared arena, so no per-assignment vector either.
+        // Produce the answer and account it, through one member lookup.
+        // The truths slice borrows straight out of the task table
+        // (disjoint from the pool and the arena), so no per-assignment
+        // clone of the spec is needed — and the labels are appended to
+        // the shared arena, so no per-assignment vector either.
+        let span = now.since(a.start);
         let start = self.label_arena.len() as u32;
-        self.platform.sample_labels_into(
-            w,
+        // clamshell-lint: allow(D006) -- a live assignment's worker is always a pool member (invariant on `Seat`)
+        let seat = self.pool.data_mut(w).expect("a live assignment's worker is a member");
+        seat.worker.sample_labels_into(
             &self.tasks[tix].spec.truths,
             self.cfg.n_classes,
             &mut self.label_arena,
         );
+        let age_before = seat.stats.completed.count() as u32;
+        seat.stats.record_completion(span.as_secs_f64(), ng);
+        self.pool.finish_work(w, now);
         let labels = LabelSpan { start, len: self.label_arena.len() as u32 - start };
-        let age_before = self.pool.member(w).map_or(0, |m| m.data.stats.completed.count() as u32);
-        let span = now.since(a.start);
         self.tasks[tix].responses.push(TaskResponse {
             worker: w,
             labels,
@@ -801,12 +820,7 @@ impl Runner {
             worker_age: age_before,
         });
 
-        // Pay and account.
         self.platform.pay_records(ng as u64);
-        if let Some(seat) = self.pool.data_mut(w) {
-            seat.stats.record_completion(span.as_secs_f64(), ng);
-            self.pool.finish_work(w, now);
-        }
 
         self.assignment_records.push(AssignmentRecord {
             task: tid.0,
@@ -971,10 +985,10 @@ impl Runner {
             .map(|m| &m.data.stats.completed)
             .filter(|c| c.count() > 0)
             .map(|c| c.mean());
-        if let Some(seat) = self.pool.data_mut(a.worker) {
-            seat.stats.record_termination(cause_mean);
-            self.pool.finish_work(a.worker, now);
-        }
+        // clamshell-lint: allow(D006) -- a live assignment's worker is always a pool member (invariant on `Seat`)
+        let seat = self.pool.data_mut(a.worker).expect("a live assignment's worker is a member");
+        seat.stats.record_termination(cause_mean);
+        self.pool.finish_work(a.worker, now);
 
         self.assignment_records.push(AssignmentRecord {
             task: a.task.0,
@@ -1105,20 +1119,20 @@ impl Runner {
 
     fn assign(&mut self, w: WorkerId, tid: TaskId) {
         let now = self.now();
+        let tix = self.task_ix(tid);
+        let ng = self.tasks[tix].spec.ng();
         let waited = self.pool.start_work(w, now);
-        if let Some(seat) = self.pool.data_mut(w) {
-            // Invalidate pending abandon checks.
-            seat.abandon_epoch += 1;
-            seat.stats.started += 1;
-        }
+        // clamshell-lint: allow(D006) -- dispatch only assigns pool members, and `start_work` just checked membership
+        let seat = self.pool.data_mut(w).expect("assign: not a member");
+        // Invalidate pending abandon checks.
+        seat.abandon_epoch += 1;
+        seat.stats.started += 1;
+        let dur = self.platform.sample_task_duration(&mut seat.worker, ng);
         self.platform.pay_wait(waited);
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::Checkout { worker: w.0, waited_ms: waited.as_millis() });
         }
 
-        let tix = self.task_ix(tid);
-        let ng = self.tasks[tix].spec.ng();
-        let dur = self.platform.sample_task_duration(w, ng);
         let aid = AssignmentId(self.assignment_base + self.assignments.len() as u32);
         self.assignments.push(Assignment {
             id: aid,
@@ -1227,7 +1241,7 @@ impl Runner {
             .members()
             .filter(|(_, m)| matches!(m.state, MemberState::Waiting { .. }))
             .map(|(w, m)| (w, &m.data.stats));
-        let flagged = Maintainer::flag_evictions(waiting, &mcfg);
+        let flagged = maintainer::flag_evictions(waiting, &mcfg);
         for w in flagged {
             // Only evict when a trained replacement is ready — maintenance
             // never shrinks the pool (§4.2).
@@ -1236,7 +1250,7 @@ impl Runner {
             }
             let now = self.now();
             self.leave_pool(w, now);
-            self.maintainer.note_eviction();
+            self.workers_evicted += 1;
             self.evicted_this_boundary += 1;
             if let Some(obs) = &mut self.obs {
                 obs.record(now, TraceKind::MaintenanceEvict { worker: w.0 });
@@ -1538,7 +1552,7 @@ mod tests {
                 expected += usd(rate * now.since(since).as_mins_f64());
             }
         }
-        for &since in r.reserve.values() {
+        for &(since, _) in r.reserve.values() {
             expected += usd(rate * now.since(since).as_mins_f64());
         }
         let report = r.finish();
@@ -1584,10 +1598,7 @@ mod tests {
         r.maintenance_step();
         assert!(r.pool.contains(straggler), "working member must survive maintenance");
         assert!(matches!(r.pool.member(straggler).unwrap().state, MemberState::Working { .. }));
-        assert!(
-            r.maintainer.evictions > 0,
-            "waiting members with identical evidence are still evicted"
-        );
+        assert!(r.workers_evicted > 0, "waiting members with identical evidence are still evicted");
         // The boundary-spanning assignment still lands normally, and the
         // survivor keeps its evidence.
         r.pool.finish_work(straggler, r.now());

@@ -10,10 +10,12 @@
 //! partial work. This crate reproduces that platform as a deterministic
 //! generative model:
 //!
-//! * [`platform::SimPlatform`] — the worker registry: recruits workers from
-//!   a [`clamshell_trace::Population`], forks each worker an independent
-//!   RNG stream, samples task durations / labels / patience, and owns the
-//!   [`payment::CostLedger`].
+//! * [`platform::SimPlatform`] — recruitment: draws each arriving worker
+//!   from a [`clamshell_trace::Population`] and hands them out as a
+//!   [`platform::Worker`] value (profile plus an independent forked RNG
+//!   stream, which samples the worker's labels and patience), samples
+//!   task durations, and owns the [`payment::CostLedger`]. It keeps no
+//!   per-worker state: the holder of a `Worker` owns it.
 //! * [`slots::RetainerPool`] — the slot set of Figure 1 (S1…S4): which
 //!   workers currently hold a retainer slot, whether each is waiting or
 //!   working, with deterministic iteration order, wait-time accounting,
@@ -35,5 +37,5 @@ pub mod slots;
 
 pub use faults::{CrowdFaults, LatencyInflation};
 pub use payment::CostLedger;
-pub use platform::{PlatformConfig, SimPlatform, WorkerId};
+pub use platform::{PlatformConfig, SimPlatform, Worker, WorkerId};
 pub use slots::{CheckoutStrategy, MemberState, PoolConfig, RetainerPool};

@@ -1,13 +1,18 @@
 //! The simulated crowd platform.
 //!
-//! [`SimPlatform`] is the stochastic half of the reproduction: it owns the
-//! worker registry and every random draw — recruitment delays, task
-//! durations, label correctness, retainer patience. Each worker gets an
-//! independent forked RNG stream, so adding or removing one worker never
+//! [`SimPlatform`] is the stochastic half of the reproduction: it
+//! recruits workers and makes every platform-side random draw —
+//! recruitment delays, worker profiles, latency inflation — and owns the
+//! cost ledger. It keeps no per-worker state. Each arrival is handed out
+//! as a [`Worker`] value (id, profile and an independent forked RNG
+//! stream) that belongs to whoever holds the worker, so a departed
+//! worker's state goes when its holder drops it. Because every worker
+//! draws from its own stream, adding or removing one worker never
 //! perturbs another worker's behaviour (critical for paired comparisons
 //! like "same seed, maintenance on vs off").
 
 use crate::payment::CostLedger;
+use clamshell_sim::dist::{Exponential, Sample};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimDuration;
 use clamshell_trace::{Population, WorkerProfile};
@@ -61,11 +66,35 @@ impl Default for PlatformConfig {
     }
 }
 
-/// A registered worker: immutable profile plus a private RNG stream.
-#[derive(Debug, Clone)]
-struct RegisteredWorker {
-    profile: WorkerProfile,
+/// A recruited worker: their id, immutable generative profile and
+/// private RNG stream. The record is a value owned by whoever holds the
+/// worker; draws that need only the worker are methods here, so they
+/// never touch the platform. It is deliberately not `Clone`: a copy
+/// would replay the worker's stream.
+#[derive(Debug)]
+pub struct Worker {
+    /// The worker's id, unique within one platform.
+    pub id: WorkerId,
+    /// The generative profile the worker's draws follow.
+    pub profile: WorkerProfile,
     rng: Rng,
+}
+
+impl Worker {
+    /// Sample the worker's answers for a task whose records have ground
+    /// truth `truths`, each out of `n_classes`, appending into a
+    /// caller-owned buffer (the runner's label arena) instead of
+    /// allocating.
+    pub fn sample_labels_into(&mut self, truths: &[u32], n_classes: u32, out: &mut Vec<u32>) {
+        out.extend(truths.iter().map(|&t| self.profile.sample_label(t, n_classes, &mut self.rng)));
+    }
+
+    /// Sample how long the worker will tolerate waiting idle before
+    /// abandoning the retainer pool (exponential around their patience).
+    pub fn sample_patience(&mut self) -> SimDuration {
+        let mean = self.profile.patience.as_secs_f64().max(1.0);
+        SimDuration::from_secs_f64(Exponential::from_mean(mean).sample(&mut self.rng))
+    }
 }
 
 /// The simulated crowd platform (see crate docs).
@@ -73,7 +102,8 @@ struct RegisteredWorker {
 pub struct SimPlatform {
     population: Population,
     config: PlatformConfig,
-    workers: Vec<RegisteredWorker>,
+    /// Workers recruited so far; the next arrival's id.
+    recruited: u32,
     rng: Rng,
     ledger: CostLedger,
     /// Platform-level fault injection (archetype overlays, latency
@@ -88,7 +118,7 @@ impl SimPlatform {
         SimPlatform {
             population,
             config,
-            workers: Vec::new(),
+            recruited: 0,
             rng: Rng::new(seed),
             ledger: CostLedger::new(),
             faults: None,
@@ -118,11 +148,6 @@ impl SimPlatform {
         &self.config
     }
 
-    /// The population this platform draws from.
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
-
     /// Immutable view of the cost ledger.
     pub fn ledger(&self) -> &CostLedger {
         &self.ledger
@@ -130,7 +155,7 @@ impl SimPlatform {
 
     /// Number of workers ever recruited.
     pub fn workers_recruited(&self) -> usize {
-        self.workers.len()
+        self.recruited as usize
     }
 
     /// Post a recruitment task: charges the posting fee and returns the
@@ -142,36 +167,21 @@ impl SimPlatform {
         self.population.sample_recruitment(&mut self.rng) + self.config.qualification
     }
 
-    /// A recruited worker arrives: samples their profile and registers
-    /// them, returning the new [`WorkerId`]. With archetype faults
+    /// A recruited worker arrives: samples their profile and forks their
+    /// RNG stream, returning the new [`Worker`]. With archetype faults
     /// active, the sampled profile may be rewritten into a spammer /
     /// adversarial / sleepy overlay — the base draw (and hence every
     /// *other* worker's profile) is untouched.
-    pub fn worker_arrives(&mut self) -> WorkerId {
-        let id = WorkerId(self.workers.len() as u32);
+    pub fn worker_arrives(&mut self) -> Worker {
+        let id = WorkerId(self.recruited);
+        self.recruited += 1;
         let mut profile = self.population.sample_profile(&mut self.rng);
         if let Some(fs) = &mut self.faults {
             profile = fs.overlay_profile(profile);
         }
         // clamshell-lint: allow(D004) -- per-worker fork: WorkerIds are unique by construction and the label namespace is this platform's own stream
         let rng = self.rng.fork(id.0 as u64);
-        self.workers.push(RegisteredWorker { profile, rng });
-        id
-    }
-
-    /// Register a worker with an explicit profile (tests and controlled
-    /// experiments).
-    pub fn register_worker(&mut self, profile: WorkerProfile) -> WorkerId {
-        let id = WorkerId(self.workers.len() as u32);
-        // clamshell-lint: allow(D004) -- per-worker fork: WorkerIds are unique by construction and the label namespace is this platform's own stream
-        let rng = self.rng.fork(id.0 as u64);
-        self.workers.push(RegisteredWorker { profile, rng });
-        id
-    }
-
-    /// The worker's generative profile.
-    pub fn profile(&self, w: WorkerId) -> &WorkerProfile {
-        &self.workers[w.0 as usize].profile
+        Worker { id, profile, rng }
     }
 
     /// Sample how long worker `w` takes for a task grouping `ng` records.
@@ -179,47 +189,13 @@ impl SimPlatform {
     /// multiplied by a heavy-tailed factor sampled from a dedicated fault
     /// stream (the worker's stream advances exactly as on the benign
     /// path).
-    pub fn sample_task_duration(&mut self, w: WorkerId, ng: u32) -> SimDuration {
-        let rw = &mut self.workers[w.0 as usize];
-        let secs = rw.profile.sample_task_secs(ng, &mut rw.rng);
+    pub fn sample_task_duration(&mut self, w: &mut Worker, ng: u32) -> SimDuration {
+        let secs = w.profile.sample_task_secs(ng, &mut w.rng);
         let mult = match &mut self.faults {
             Some(fs) => fs.duration_multiplier(),
             None => 1.0,
         };
         SimDuration::from_secs_f64(secs * mult)
-    }
-
-    /// Sample worker `w`'s answers for a task whose records have ground
-    /// truth `truths`, each out of `n_classes`.
-    pub fn sample_labels(&mut self, w: WorkerId, truths: &[u32], n_classes: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(truths.len());
-        self.sample_labels_into(w, truths, n_classes, &mut out);
-        out
-    }
-
-    /// [`Self::sample_labels`], appending into a caller-owned buffer
-    /// instead of allocating. The draw order is identical, so a run built
-    /// from either entry point is bit-for-bit the same; the hot loop uses
-    /// this with the runner's label arena to stay allocation-free.
-    pub fn sample_labels_into(
-        &mut self,
-        w: WorkerId,
-        truths: &[u32],
-        n_classes: u32,
-        out: &mut Vec<u32>,
-    ) {
-        let rw = &mut self.workers[w.0 as usize];
-        out.extend(truths.iter().map(|&t| rw.profile.sample_label(t, n_classes, &mut rw.rng)));
-    }
-
-    /// Sample how long worker `w` will tolerate waiting idle before
-    /// abandoning the retainer pool (exponential around their patience).
-    pub fn sample_patience(&mut self, w: WorkerId) -> SimDuration {
-        let rw = &mut self.workers[w.0 as usize];
-        let mean = rw.profile.patience.as_secs_f64().max(1.0);
-        SimDuration::from_secs_f64(
-            clamshell_sim::dist::Exponential::from_mean(mean).sample_with(&mut rw.rng),
-        )
     }
 
     /// Pay a worker for waiting `dur` in the retainer pool.
@@ -240,24 +216,22 @@ impl SimPlatform {
     }
 }
 
-/// Extension trait so distributions can sample from a caller-supplied RNG
-/// without exposing `dist::Sample` everywhere.
-trait SampleWith {
-    fn sample_with(&self, rng: &mut Rng) -> f64;
-}
-
-impl<T: clamshell_sim::dist::Sample> SampleWith for T {
-    fn sample_with(&self, rng: &mut Rng) -> f64 {
-        T::sample(self, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn platform(seed: u64) -> SimPlatform {
         SimPlatform::new(Population::mturk_live(), PlatformConfig::default(), seed)
+    }
+
+    /// A worker with a fixed profile and a stream forked from `seed` by
+    /// id, the way [`SimPlatform::worker_arrives`] forks one.
+    fn fixed_worker(seed: u64, id: u32, mean: f64, accuracy: f64) -> Worker {
+        Worker {
+            id: WorkerId(id),
+            profile: WorkerProfile::fixed(mean, 0.2, accuracy),
+            rng: Rng::new(seed).fork(id as u64),
+        }
     }
 
     #[test]
@@ -267,7 +241,7 @@ mod tests {
         assert!(d >= p.config().qualification);
         assert_eq!(p.ledger().recruit_micro, 50_000);
         let w = p.worker_arrives();
-        assert_eq!(w, WorkerId(0));
+        assert_eq!(w.id, WorkerId(0));
         assert_eq!(p.workers_recruited(), 1);
     }
 
@@ -276,49 +250,50 @@ mod tests {
         let mut p = platform(2);
         for i in 0..5 {
             p.start_recruitment();
-            assert_eq!(p.worker_arrives(), WorkerId(i));
+            assert_eq!(p.worker_arrives().id, WorkerId(i));
         }
+        assert_eq!(p.workers_recruited(), 5);
     }
 
     #[test]
     fn task_durations_track_worker_profile() {
         let mut p = platform(3);
-        let fast = p.register_worker(WorkerProfile::fixed(2.0, 0.2, 0.9));
-        let slow = p.register_worker(WorkerProfile::fixed(20.0, 0.2, 0.9));
+        let mut fast = fixed_worker(3, 0, 2.0, 0.9);
+        let mut slow = fixed_worker(3, 1, 20.0, 0.9);
         let n = 2000;
-        let fmean: f64 =
-            (0..n).map(|_| p.sample_task_duration(fast, 1).as_secs_f64()).sum::<f64>() / n as f64;
-        let smean: f64 =
-            (0..n).map(|_| p.sample_task_duration(slow, 1).as_secs_f64()).sum::<f64>() / n as f64;
+        let mut mean = |w: &mut Worker| {
+            (0..n).map(|_| p.sample_task_duration(w, 1).as_secs_f64()).sum::<f64>() / n as f64
+        };
+        let fmean = mean(&mut fast);
+        let smean = mean(&mut slow);
         assert!((fmean - 2.0).abs() < 0.1, "fmean={fmean}");
         assert!((smean - 20.0).abs() < 0.5, "smean={smean}");
     }
 
     #[test]
     fn labels_respect_accuracy() {
-        let mut p = platform(4);
-        let w = p.register_worker(WorkerProfile::fixed(2.0, 0.2, 1.0));
+        let mut w = fixed_worker(4, 0, 2.0, 1.0);
         let truths = vec![0, 1, 2, 3];
-        assert_eq!(p.sample_labels(w, &truths, 4), truths);
+        let mut out = vec![9];
+        w.sample_labels_into(&truths, 4, &mut out);
+        assert_eq!(out, [9, 0, 1, 2, 3], "answers are appended after existing contents");
     }
 
     #[test]
     fn worker_streams_are_independent() {
         // Worker 0's draws must be identical whether or not worker 1 ever
         // samples anything.
-        let mk = || {
-            let mut p = platform(7);
-            let a = p.register_worker(WorkerProfile::fixed(5.0, 1.0, 0.9));
-            let b = p.register_worker(WorkerProfile::fixed(5.0, 1.0, 0.9));
-            (p, a, b)
-        };
-        let (mut p1, a1, _) = mk();
-        let seq1: Vec<u64> = (0..10).map(|_| p1.sample_task_duration(a1, 1).as_millis()).collect();
-        let (mut p2, a2, b2) = mk();
+        let mut p = platform(7);
+        let mut a1 = fixed_worker(7, 0, 5.0, 0.9);
+        let seq1: Vec<u64> =
+            (0..10).map(|_| p.sample_task_duration(&mut a1, 1).as_millis()).collect();
+        let mut a2 = fixed_worker(7, 0, 5.0, 0.9);
+        let mut b2 = fixed_worker(7, 1, 5.0, 0.9);
         for _ in 0..500 {
-            p2.sample_task_duration(b2, 1); // interleave other worker's draws
+            p.sample_task_duration(&mut b2, 1); // interleave other worker's draws
         }
-        let seq2: Vec<u64> = (0..10).map(|_| p2.sample_task_duration(a2, 1).as_millis()).collect();
+        let seq2: Vec<u64> =
+            (0..10).map(|_| p.sample_task_duration(&mut a2, 1).as_millis()).collect();
         assert_eq!(seq1, seq2);
     }
 
@@ -356,9 +331,9 @@ mod tests {
             let mut out = Vec::new();
             for _ in 0..4 {
                 out.push(p.start_recruitment().as_millis());
-                let w = p.worker_arrives();
-                out.extend((0..5).map(|_| p.sample_task_duration(w, 3).as_millis()));
-                out.push(p.sample_patience(w).as_millis());
+                let mut w = p.worker_arrives();
+                out.extend((0..5).map(|_| p.sample_task_duration(&mut w, 3).as_millis()));
+                out.push(w.sample_patience().as_millis());
             }
             out
         };
@@ -386,8 +361,7 @@ mod tests {
             (0..40)
                 .map(|_| {
                     p.start_recruitment();
-                    let w = p.worker_arrives();
-                    *p.profile(w)
+                    p.worker_arrives().profile
                 })
                 .collect::<Vec<_>>()
         };
@@ -408,8 +382,8 @@ mod tests {
         let run = || {
             let mut p = platform(42);
             p.start_recruitment();
-            let w = p.worker_arrives();
-            (0..20).map(|_| p.sample_task_duration(w, 5).as_millis()).collect::<Vec<_>>()
+            let mut w = p.worker_arrives();
+            (0..20).map(|_| p.sample_task_duration(&mut w, 5).as_millis()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

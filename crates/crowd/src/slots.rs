@@ -9,10 +9,11 @@
 //! (ordered by [`WorkerId`]) so the scheduler's choices are reproducible.
 //!
 //! Each [`Member`] record also carries the caller's per-member data `T`
-//! (`()` by default): it is created with `T::default()` when the worker
-//! joins and dropped when they leave. The runner keeps its whole
-//! per-worker state there (idle flag, abandon epoch, patience and the
-//! maintenance statistics), so one `leave` forgets a departed worker.
+//! (`()` by default): the caller hands it over when the worker joins, and
+//! it is dropped when they leave. The runner keeps the worker's whole
+//! state there (the platform's worker record, idle flag, abandon epoch,
+//! patience and the maintenance statistics), so one `leave` forgets a
+//! departed worker.
 //!
 //! Beyond the flat slot set, the pool carries production resource-pool
 //! lifecycle semantics (in the mold of database connection pools):
@@ -96,12 +97,10 @@ pub enum MemberState {
 pub struct Member<T = ()> {
     /// Current state.
     pub state: MemberState,
-    /// When the worker joined the pool.
-    pub joined: SimTime,
     /// Pool generation at join time; members below the pool's current
     /// generation are stale.
     pub generation: u64,
-    /// The caller's per-member data, `T::default()` at join.
+    /// The caller's per-member data, handed over at join.
     pub data: T,
 }
 
@@ -222,12 +221,10 @@ impl<T> RetainerPool<T> {
         self.capacity.saturating_sub(self.members.len())
     }
 
-    /// Add a worker in the `Waiting` state. Returns `false` (and does not
-    /// add) if the pool is full or the worker is already a member.
-    pub fn join(&mut self, w: WorkerId, now: SimTime) -> bool
-    where
-        T: Default,
-    {
+    /// Add a worker in the `Waiting` state, carrying the caller's `data`.
+    /// Returns `false` (and drops `data`) if the pool is full or the
+    /// worker is already a member.
+    pub fn join(&mut self, w: WorkerId, now: SimTime, data: T) -> bool {
         if self.vacancies() == 0 || self.members.contains_key(&w) {
             return false;
         }
@@ -235,9 +232,8 @@ impl<T> RetainerPool<T> {
             w,
             Member {
                 state: MemberState::Waiting { since: now },
-                joined: now,
                 generation: self.generation,
-                data: T::default(),
+                data,
             },
         );
         if let Some(obs) = &mut self.obs {
@@ -314,24 +310,6 @@ impl<T> RetainerPool<T> {
         worked
     }
 
-    /// Workers currently idle, in deterministic (id) order.
-    pub fn waiting(&self) -> Vec<WorkerId> {
-        self.members
-            .iter()
-            .filter(|(_, m)| matches!(m.state, MemberState::Waiting { .. }))
-            .map(|(&w, _)| w)
-            .collect()
-    }
-
-    /// Workers currently working, in deterministic (id) order.
-    pub fn working(&self) -> Vec<WorkerId> {
-        self.members
-            .iter()
-            .filter(|(_, m)| matches!(m.state, MemberState::Working { .. }))
-            .map(|(&w, _)| w)
-            .collect()
-    }
-
     /// All members in deterministic order.
     pub fn members(&self) -> impl Iterator<Item = (WorkerId, &Member<T>)> {
         self.members.iter().map(|(&w, m)| (w, m))
@@ -349,9 +327,9 @@ mod tests {
     #[test]
     fn join_respects_capacity() {
         let mut p = RetainerPool::new(2);
-        assert!(p.join(WorkerId(0), t(0)));
-        assert!(p.join(WorkerId(1), t(0)));
-        assert!(!p.join(WorkerId(2), t(0)), "pool full");
+        assert!(p.join(WorkerId(0), t(0), ()));
+        assert!(p.join(WorkerId(1), t(0), ()));
+        assert!(!p.join(WorkerId(2), t(0), ()), "pool full");
         assert_eq!(p.len(), 2);
         assert_eq!(p.vacancies(), 0);
     }
@@ -359,30 +337,30 @@ mod tests {
     #[test]
     fn double_join_rejected() {
         let mut p = RetainerPool::new(3);
-        assert!(p.join(WorkerId(0), t(0)));
-        assert!(!p.join(WorkerId(0), t(1)));
+        assert!(p.join(WorkerId(0), t(0), ()));
+        assert!(!p.join(WorkerId(0), t(1), ()));
     }
 
     #[test]
     fn work_transitions_and_wait_settlement() {
         let mut p = RetainerPool::new(2);
-        p.join(WorkerId(0), t(0));
+        p.join(WorkerId(0), t(0), ());
         // Waited 10s before work started.
         let waited = p.start_work(WorkerId(0), t(10));
         assert_eq!(waited, SimDuration::from_secs(10));
-        assert_eq!(p.waiting(), vec![]);
-        assert_eq!(p.working(), vec![WorkerId(0)]);
+        assert_eq!(p.member(WorkerId(0)).unwrap().state, MemberState::Working { since: t(10) });
         let worked = p.finish_work(WorkerId(0), t(25));
         assert_eq!(worked, SimDuration::from_secs(15));
-        assert_eq!(p.waiting(), vec![WorkerId(0)]);
+        assert_eq!(p.member(WorkerId(0)).unwrap().state, MemberState::Waiting { since: t(25) });
     }
 
     #[test]
     fn member_data_lives_from_join_to_leave() {
         let mut p: RetainerPool<u32> = RetainerPool::with_config(2, PoolConfig::default());
         assert_eq!(p.data_mut(WorkerId(0)), None);
-        p.join(WorkerId(0), t(0));
-        *p.data_mut(WorkerId(0)).unwrap() += 7;
+        p.join(WorkerId(0), t(0), 5);
+        assert!(!p.join(WorkerId(0), t(0), 9), "a rejected join drops its data");
+        *p.data_mut(WorkerId(0)).unwrap() += 2;
         p.start_work(WorkerId(0), t(1));
         p.finish_work(WorkerId(0), t(2));
         assert_eq!(p.member(WorkerId(0)).unwrap().data, 7, "transitions keep the data");
@@ -393,25 +371,23 @@ mod tests {
     #[test]
     fn leave_returns_outstanding_wait() {
         let mut p = RetainerPool::new(2);
-        p.join(WorkerId(0), t(0));
+        p.join(WorkerId(0), t(0), ());
         assert_eq!(p.leave(WorkerId(0), t(30)), Some(SimDuration::from_secs(30)));
         assert_eq!(p.leave(WorkerId(0), t(31)), None, "already gone");
         // A working member owes no wait on departure.
-        p.join(WorkerId(1), t(40));
+        p.join(WorkerId(1), t(40), ());
         p.start_work(WorkerId(1), t(45));
         assert_eq!(p.leave(WorkerId(1), t(50)), Some(SimDuration::ZERO));
     }
 
     #[test]
-    fn waiting_order_is_deterministic() {
+    fn member_order_is_deterministic() {
         let mut p = RetainerPool::new(5);
         for id in [4u32, 1, 3, 0, 2] {
-            p.join(WorkerId(id), t(0));
+            p.join(WorkerId(id), t(0), ());
         }
-        assert_eq!(
-            p.waiting(),
-            vec![WorkerId(0), WorkerId(1), WorkerId(2), WorkerId(3), WorkerId(4)]
-        );
+        let order: Vec<WorkerId> = p.members().map(|(w, _)| w).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4].map(WorkerId));
     }
 
     #[test]
@@ -425,7 +401,7 @@ mod tests {
     #[should_panic]
     fn double_start_work_panics() {
         let mut p = RetainerPool::new(1);
-        p.join(WorkerId(0), t(0));
+        p.join(WorkerId(0), t(0), ());
         p.start_work(WorkerId(0), t(1));
         p.start_work(WorkerId(0), t(2));
     }
@@ -467,15 +443,15 @@ mod tests {
     #[test]
     fn generation_bump_marks_existing_members_stale() {
         let mut p = RetainerPool::new(3);
-        p.join(WorkerId(0), t(0));
-        p.join(WorkerId(1), t(1));
+        p.join(WorkerId(0), t(0), ());
+        p.join(WorkerId(1), t(1), ());
         assert!(!p.is_stale(WorkerId(0)));
         p.bump_generation();
         assert_eq!(p.generation(), 1);
         assert!(p.is_stale(WorkerId(0)), "pre-bump member is stale");
         assert!(p.is_stale(WorkerId(1)));
         // A fresh joiner carries the new generation.
-        p.join(WorkerId(2), t(5));
+        p.join(WorkerId(2), t(5), ());
         assert!(!p.is_stale(WorkerId(2)));
         assert_eq!(p.member(WorkerId(2)).unwrap().generation, 1);
         // Non-members are never stale.
@@ -485,9 +461,9 @@ mod tests {
     #[test]
     fn fifo_checkout_preserves_id_order() {
         let mut p = RetainerPool::new(3);
-        p.join(WorkerId(0), t(0));
-        p.join(WorkerId(1), t(10));
-        p.join(WorkerId(2), t(20));
+        p.join(WorkerId(0), t(0), ());
+        p.join(WorkerId(1), t(10), ());
+        p.join(WorkerId(2), t(20), ());
         let mut order = vec![WorkerId(0), WorkerId(1), WorkerId(2)];
         p.order_checkouts(&mut order);
         assert_eq!(order, vec![WorkerId(0), WorkerId(1), WorkerId(2)]);
@@ -498,8 +474,8 @@ mod tests {
         let mut p = RetainerPool::new(3);
         assert!(p.obs().is_none(), "obs must be opt-in");
         p.enable_obs();
-        p.join(WorkerId(0), t(0));
-        p.join(WorkerId(1), t(0));
+        p.join(WorkerId(0), t(0), ());
+        p.join(WorkerId(1), t(0), ());
         p.start_work(WorkerId(0), t(5));
         p.finish_work(WorkerId(0), t(10));
         p.leave(WorkerId(1), t(12));
@@ -515,7 +491,7 @@ mod tests {
     fn obs_counts_working_departure_as_checkin() {
         let mut p = RetainerPool::new(2);
         p.enable_obs();
-        p.join(WorkerId(0), t(0));
+        p.join(WorkerId(0), t(0), ());
         p.start_work(WorkerId(0), t(1));
         // Walkout mid-assignment: the checkout must still be balanced.
         p.leave(WorkerId(0), t(2));
@@ -529,9 +505,9 @@ mod tests {
     fn lifo_checkout_prefers_most_recently_idle() {
         let cfg = PoolConfig { strategy: CheckoutStrategy::Lifo, ..Default::default() };
         let mut p: RetainerPool = RetainerPool::with_config(3, cfg);
-        p.join(WorkerId(0), t(0));
-        p.join(WorkerId(1), t(0));
-        p.join(WorkerId(2), t(0));
+        p.join(WorkerId(0), t(0), ());
+        p.join(WorkerId(1), t(0), ());
+        p.join(WorkerId(2), t(0), ());
         // Worker 0 works and comes back: now the most recently idle.
         p.start_work(WorkerId(0), t(5));
         p.finish_work(WorkerId(0), t(30));
