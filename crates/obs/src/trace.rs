@@ -226,6 +226,24 @@ mod tests {
         }
     }
 
+    /// One event of every kind, in [`TraceKind::index`] order, with
+    /// every `u32` field set to `w` and every `u64` field to `t`.
+    fn all_kinds(w: u32, t: u64) -> [TraceKind; TraceKind::COUNT] {
+        [
+            TraceKind::Checkout { worker: w, waited_ms: t },
+            TraceKind::Dispatch { worker: w, task: w, assignment: w },
+            TraceKind::AssignmentDone { worker: w, task: w, assignment: w, span_ms: t },
+            TraceKind::Walkout { worker: w, task: w, assignment: w },
+            TraceKind::ReserveTimeout { worker: w },
+            TraceKind::StaleRetired { worker: w },
+            TraceKind::MaintenanceEvict { worker: w },
+            TraceKind::OutageDefer { resume_ms: t },
+            TraceKind::OutageResume,
+            TraceKind::PoolJoin { worker: w, occupancy: t },
+            TraceKind::PoolLeave { worker: w, occupancy: t },
+        ]
+    }
+
     #[test]
     fn fnv_matches_reference_vectors() {
         // Standard FNV-1a 64 test vectors.
@@ -254,21 +272,45 @@ mod tests {
     }
 
     #[test]
-    fn every_line_parses_as_json() {
-        let kinds = [
-            TraceKind::Checkout { worker: 1, waited_ms: 2 },
-            TraceKind::Dispatch { worker: 1, task: 2, assignment: 3 },
-            TraceKind::AssignmentDone { worker: 1, task: 2, assignment: 3, span_ms: 4 },
-            TraceKind::Walkout { worker: 1, task: 2, assignment: 3 },
-            TraceKind::ReserveTimeout { worker: 1 },
-            TraceKind::StaleRetired { worker: 1 },
-            TraceKind::MaintenanceEvict { worker: 1 },
-            TraceKind::OutageDefer { resume_ms: 5 },
-            TraceKind::OutageResume,
-            TraceKind::PoolJoin { worker: 1, occupancy: 2 },
-            TraceKind::PoolLeave { worker: 1, occupancy: 2 },
+    fn every_kind_renders_pinned_bytes_at_zero_and_max_width() {
+        // Recorded from the original `write!`-based renderer: the
+        // narrowest and widest value of every field, for every kind.
+        let zero = [
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"checkout","worker":0,"waited_ms":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"dispatch","worker":0,"task":0,"assignment":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"assignment_done","worker":0,"task":0,"assignment":0,"span_ms":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"walkout","worker":0,"task":0,"assignment":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"reserve_timeout","worker":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"stale_retired","worker":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"maintenance_evict","worker":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"outage_defer","resume_ms":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"outage_resume"}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"pool_join","worker":0,"occupancy":0}"#,
+            r#"{"v":1,"seq":0,"at_ms":0,"ev":"pool_leave","worker":0,"occupancy":0}"#,
         ];
-        for (i, kind) in kinds.into_iter().enumerate() {
+        let max = [
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"checkout","worker":4294967295,"waited_ms":18446744073709551615}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"dispatch","worker":4294967295,"task":4294967295,"assignment":4294967295}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"assignment_done","worker":4294967295,"task":4294967295,"assignment":4294967295,"span_ms":18446744073709551615}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"walkout","worker":4294967295,"task":4294967295,"assignment":4294967295}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"reserve_timeout","worker":4294967295}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"stale_retired","worker":4294967295}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"maintenance_evict","worker":4294967295}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"outage_defer","resume_ms":18446744073709551615}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"outage_resume"}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"pool_join","worker":4294967295,"occupancy":18446744073709551615}"#,
+            r#"{"v":1,"seq":18446744073709551615,"at_ms":18446744073709551615,"ev":"pool_leave","worker":4294967295,"occupancy":18446744073709551615}"#,
+        ];
+        for (w, t, expected) in [(0, 0, zero), (u32::MAX, u64::MAX, max)] {
+            for (kind, line) in all_kinds(w, t).into_iter().zip(expected) {
+                assert_eq!(render_event(&TraceEvent { seq: t, at_ms: t, kind }), line);
+            }
+        }
+    }
+
+    #[test]
+    fn every_line_parses_as_json() {
+        for (i, kind) in all_kinds(1, 5).into_iter().enumerate() {
             let line = render_event(&TraceEvent { seq: i as u64, at_ms: 10 * i as u64, kind });
             assert_flat_json_object(&line);
             assert!(line.starts_with("{\"v\":1,\"seq\":"), "{line}");

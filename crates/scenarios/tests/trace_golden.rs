@@ -2,14 +2,21 @@
 //!
 //! The instrumented catalog suite must reproduce the committed trace
 //! fingerprints (`crates/scenarios/golden/trace_fingerprints.json`)
-//! byte for byte, its rendered JSONL must be identical at 1 and 4 sweep
-//! threads, and turning observability on must leave the compact-report
-//! goldens untouched — the zero-perturbation half of the contract.
+//! byte for byte, the FNV-1a of every cell's rendered JSONL must match
+//! `crates/scenarios/golden/trace_jsonl_fnv.json` (the fingerprints hash
+//! structured fields, so only this file pins the renderer's bytes), the
+//! JSONL must be identical at 1 and 4 sweep threads, and turning
+//! observability on must leave the compact-report goldens untouched —
+//! the zero-perturbation half of the contract.
 //!
 //! Regenerate intentionally with:
 //! `CLAMSHELL_BLESS=1 cargo test -p clamshell-scenarios --test trace_golden`
 
+use clamshell_obs::{fingerprint_hex, Fnv};
 use clamshell_scenarios::{golden, suite, trace};
+
+/// Golden-file key for the rendered-bytes digests.
+const JSONL_GOLDEN: &str = "trace_jsonl_fnv";
 
 #[test]
 fn trace_fingerprint_conformance() {
@@ -37,6 +44,40 @@ fn trace_fingerprint_conformance() {
             "trace fingerprints drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
         ),
         None => panic!("no committed trace fingerprints (bless with CLAMSHELL_BLESS=1)"),
+    }
+}
+
+#[test]
+fn trace_jsonl_bytes_are_pinned() {
+    // One line per cell: the length and FNV-1a of its full rendered
+    // JSONL section (header + events), so any drift in the renderer's
+    // bytes fails here even when the structured fingerprints agree.
+    let lines: Vec<String> = trace::trace_suite(None)
+        .iter()
+        .flat_map(|(name, cells)| {
+            cells.iter().map(move |c| {
+                let mut h = Fnv::new();
+                h.write(c.jsonl.as_bytes());
+                format!(
+                    "{{\"scenario\":\"{name}\",\"seed\":{},\"bytes\":{},\"jsonl\":\"{}\"}}",
+                    c.row.seed,
+                    c.jsonl.len(),
+                    fingerprint_hex(h.finish())
+                )
+            })
+        })
+        .collect();
+    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
+    if golden::blessing() {
+        golden::bless(JSONL_GOLDEN, &rendered);
+        return;
+    }
+    match golden::read(JSONL_GOLDEN) {
+        Some(committed) => assert_eq!(
+            committed, rendered,
+            "rendered trace bytes drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
+        ),
+        None => panic!("no committed trace JSONL digests (bless with CLAMSHELL_BLESS=1)"),
     }
 }
 
