@@ -156,6 +156,8 @@ pub fn scenario_mode(
                 .map_err(|e| format!("cannot create trace file {}: {e}", p.display()))
         })
         .transpose()?;
+    // One section buffer for the whole trace export, reused per cell.
+    let mut trace_buf = Vec::new();
     let mut json_sections = String::new();
     for (k, def) in picked.iter().enumerate() {
         let defs = defs_for(def);
@@ -177,8 +179,9 @@ pub fn scenario_mode(
                 for (report, &seed) in reports.iter().zip(&opts.seeds) {
                     let obs_report =
                         report.obs.as_ref().expect("traced scenario runs are instrumented");
-                    out.write_all(obs_report.render_jsonl(d.name, seed).as_bytes())
-                        .map_err(|e| format!("cannot write trace: {e}"))?;
+                    trace_buf.clear();
+                    obs_report.render_jsonl_into(d.name, seed, &mut trace_buf);
+                    out.write_all(&trace_buf).map_err(|e| format!("cannot write trace: {e}"))?;
                 }
             }
         }

@@ -60,5 +60,5 @@ pub use config::{
 pub use learning::{LearningConfig, LearningOutcome, LearningRunner, Strategy};
 pub use lifeguard::RoutingPolicy;
 pub use metrics::{BatchStats, RunReport};
-pub use runner::{run_batched, BatchSizer, LifecycleCounts, RetiredRows, Runner};
+pub use runner::{run_batched, BatchSizer, LifecycleCounts, Runner};
 pub use task::TaskSpec;

@@ -66,19 +66,6 @@ enum Event {
     Nop,
 }
 
-/// The report rows drained by one [`Runner::retire_completed`] call:
-/// everything logged since the previous retirement, in the same order
-/// the retained-mode vectors would hold it.
-#[derive(Debug, Clone, Default)]
-pub struct RetiredRows {
-    /// Completed-task records, in completion order.
-    pub tasks: Vec<TaskRecord>,
-    /// Assignment records, in the order assignments ended.
-    pub assignments: Vec<AssignmentRecord>,
-    /// Per-batch statistics, in batch order.
-    pub batches: Vec<BatchStats>,
-}
-
 /// Cumulative worker-lifecycle counters, never retired — streaming
 /// checkpoints report them directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -510,9 +497,11 @@ impl Runner {
     }
 
     /// Retire all completed-task state, keeping streamed-run memory
-    /// bounded: drains the report rows accumulated since the last
-    /// retirement, clears the task/assignment tables (capacity is kept,
-    /// so steady-state batches stop allocating), and bumps the id bases.
+    /// bounded: discards the report rows accumulated since the last
+    /// retirement (fold them from [`Self::task_records`] and friends
+    /// first), clears the task/assignment tables, and bumps the id
+    /// bases. Every vector keeps its capacity, so steady-state batches
+    /// stop allocating.
     ///
     /// Only callable at a batch boundary, when every admitted task has
     /// completed — which also means every assignment is dead
@@ -521,7 +510,7 @@ impl Runner {
     /// run start/last-completion) are never retired, so
     /// [`Runner::finish`] still reports them correctly; only the row
     /// vectors come back empty in retire mode.
-    pub fn retire_completed(&mut self) -> RetiredRows {
+    pub fn retire_completed(&mut self) {
         assert!(
             self.tasks.iter().all(|t| t.completed_at.is_some()),
             "retire_completed is a batch-boundary operation: every admitted task must be complete"
@@ -539,11 +528,9 @@ impl Runner {
         // the arena holds no reachable spans; clearing it (capacity kept)
         // is what makes streamed-run label memory bounded too.
         self.label_arena.clear();
-        RetiredRows {
-            tasks: std::mem::take(&mut self.task_records),
-            assignments: std::mem::take(&mut self.assignment_records),
-            batches: std::mem::take(&mut self.batch_stats),
-        }
+        self.task_records.clear();
+        self.assignment_records.clear();
+        self.batch_stats.clear();
     }
 
     // ------------------------------------------------------------------

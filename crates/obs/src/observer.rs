@@ -134,23 +134,17 @@ impl RunObserver {
     /// Dump the retained ring to `out` as a JSONL section. Used on
     /// panic/invariant failure so the tail of the run is never lost.
     pub fn dump(&self, scenario: &str, seed: u64, out: &mut dyn Write) -> std::io::Result<()> {
-        let fingerprint = trace::fingerprint_events(self.recorder.iter());
-        writeln!(
-            out,
-            "{}",
-            trace::render_header(
-                scenario,
-                seed,
-                self.recorder.len(),
-                self.recorder.recorded(),
-                self.recorder.dropped(),
-                fingerprint,
-            )
-        )?;
-        for event in self.recorder.iter() {
-            writeln!(out, "{}", trace::render_event(event))?;
-        }
-        Ok(())
+        let mut buf = Vec::new();
+        trace::render_section_into(
+            &mut buf,
+            scenario,
+            seed,
+            self.recorder.iter(),
+            self.recorder.recorded(),
+            self.recorder.dropped(),
+            trace::fingerprint_events(self.recorder.iter()),
+        );
+        out.write_all(&buf)
     }
 }
 
@@ -175,23 +169,25 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Render this report's full JSONL section (header + events).
-    pub fn render_jsonl(&self, scenario: &str, seed: u64) -> String {
-        let mut out = String::new();
-        out.push_str(&trace::render_header(
+    /// Append this report's full JSONL section (header + events) to
+    /// `out`; exporters reuse one buffer across sections.
+    pub fn render_jsonl_into(&self, scenario: &str, seed: u64, out: &mut Vec<u8>) {
+        trace::render_section_into(
+            out,
             scenario,
             seed,
-            self.events.len(),
+            self.events.iter(),
             self.recorded,
             self.dropped,
             self.fingerprint,
-        ));
-        out.push('\n');
-        for event in &self.events {
-            out.push_str(&trace::render_event(event));
-            out.push('\n');
-        }
-        out
+        );
+    }
+
+    /// Render this report's full JSONL section (header + events).
+    pub fn render_jsonl(&self, scenario: &str, seed: u64) -> String {
+        let mut out = Vec::new();
+        self.render_jsonl_into(scenario, seed, &mut out);
+        String::from_utf8(out).expect("trace JSONL is UTF-8")
     }
 
     /// Count of retained events matching an `"ev"` discriminator.

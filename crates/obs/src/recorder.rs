@@ -89,10 +89,11 @@ impl TraceKind {
         }
     }
 
-    /// The variant's numeric payload, widened to `u64`, in the same
-    /// order the JSONL renderer emits the fields. Feeds the trace
-    /// fingerprint: together with [`Self::index`] this is exactly the
-    /// information the rendered line carries.
+    /// The variant's numeric payload, widened to `u64`, in
+    /// [`Self::field_keys`] order. The JSONL renderer writes each value
+    /// beside its key and the trace fingerprint hashes them: together
+    /// with [`Self::index`] this is exactly the information the
+    /// rendered line carries.
     pub fn field_values(&self) -> ([u64; 4], usize) {
         match *self {
             TraceKind::Checkout { worker, waited_ms } => ([worker.into(), waited_ms, 0, 0], 2),
@@ -112,7 +113,29 @@ impl TraceKind {
             | TraceKind::PoolLeave { worker, occupancy } => ([worker.into(), occupancy, 0, 0], 2),
         }
     }
+
+    /// The JSONL keys of [`Self::field_values`], in the same order: the
+    /// renderer writes one `,"key":value` pair per entry.
+    pub fn field_keys(&self) -> &'static [&'static str] {
+        FIELD_KEYS[self.index()]
+    }
 }
+
+/// Field keys aligned with [`TraceKind::index`] (see
+/// [`TraceKind::field_keys`]).
+const FIELD_KEYS: [&[&str]; TraceKind::COUNT] = [
+    &["worker", "waited_ms"],
+    &["worker", "task", "assignment"],
+    &["worker", "task", "assignment", "span_ms"],
+    &["worker", "task", "assignment"],
+    &["worker"],
+    &["worker"],
+    &["worker"],
+    &["resume_ms"],
+    &[],
+    &["worker", "occupancy"],
+    &["worker", "occupancy"],
+];
 
 /// Counter names aligned with [`TraceKind::index`].
 pub const KIND_COUNTERS: [MetricName; TraceKind::COUNT] = [
@@ -189,7 +212,7 @@ impl FlightRecorder {
     }
 
     /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &TraceEvent> {
         self.events.iter()
     }
 

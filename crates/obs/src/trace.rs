@@ -15,12 +15,25 @@
 //! {"v":1,"seq":<n>,"at_ms":<n>,"ev":"<event-name>",...variant fields}
 //! ```
 //!
+//! Event lines come from one table-driven byte renderer,
+//! [`render_event_into`]: the fixed prefix, then one `,"key":value` pair
+//! per entry of [`TraceKind::field_keys`] zipped with
+//! [`TraceKind::field_values`] — the same payload [`fingerprint_events`]
+//! hashes — with integers written by a digit loop rather than
+//! `core::fmt`. A new event kind is one `field_values` arm plus one
+//! `field_keys` row. Callers that export many sections
+//! ([`render_section_into`]) append to one reused `Vec<u8>`; the
+//! `String` forms ([`render_event`], `ObsReport::render_jsonl`) wrap
+//! that same path.
+//!
 //! Versioning contract: existing fields never change meaning or order;
 //! additions bump `TRACE_SCHEMA_VERSION`.
 
 use std::fmt::Write as _;
 
-use crate::recorder::{TraceEvent, TraceKind};
+use crate::recorder::TraceEvent;
+#[cfg(doc)]
+use crate::recorder::TraceKind;
 
 /// Bump on any change to line shape or field order.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -39,6 +52,17 @@ impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    /// `PRIME^k` for `k` in `0..=8`.
+    const PRIME_POW: [u64; 9] = {
+        let mut pow = [1u64; 9];
+        let mut k = 1;
+        while k < pow.len() {
+            pow[k] = pow[k - 1].wrapping_mul(Self::PRIME);
+            k += 1;
+        }
+        pow
+    };
+
     pub fn new() -> Self {
         Fnv(Self::OFFSET)
     }
@@ -48,6 +72,21 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Hash `v` as 8 little-endian bytes: the same bits as
+    /// `self.write(&v.to_le_bytes())`. Hashing a zero byte only
+    /// multiplies the state by `PRIME`, so the zero high bytes of `v`
+    /// fold into one multiply by `PRIME^k`.
+    pub fn write_u64(&mut self, v: u64) {
+        let zero_high = (v.leading_zeros() / 8) as usize;
+        let mut h = self.0;
+        let mut rest = v;
+        for _ in zero_high..8 {
+            h = (h ^ (rest & 0xff)).wrapping_mul(Self::PRIME);
+            rest >>= 8;
+        }
+        self.0 = h.wrapping_mul(Self::PRIME_POW[zero_high]);
     }
 
     pub fn finish(&self) -> u64 {
@@ -60,72 +99,92 @@ pub fn fingerprint_hex(fp: u64) -> String {
     format!("fnv1a:{fp:016x}")
 }
 
-/// Render one event line (no trailing newline).
-pub fn render_event(event: &TraceEvent) -> String {
-    let mut line = String::with_capacity(96);
-    let _ = write!(
-        line,
-        "{{\"v\":{},\"seq\":{},\"at_ms\":{},\"ev\":\"{}\"",
-        TRACE_SCHEMA_VERSION,
-        event.seq,
-        event.at_ms,
-        event.kind.event_name().as_str()
-    );
-    match event.kind {
-        TraceKind::Checkout { worker, waited_ms } => {
-            let _ = write!(line, ",\"worker\":{worker},\"waited_ms\":{waited_ms}");
-        }
-        TraceKind::Dispatch { worker, task, assignment } => {
-            let _ =
-                write!(line, ",\"worker\":{worker},\"task\":{task},\"assignment\":{assignment}");
-        }
-        TraceKind::AssignmentDone { worker, task, assignment, span_ms } => {
-            let _ = write!(
-                line,
-                ",\"worker\":{worker},\"task\":{task},\"assignment\":{assignment},\"span_ms\":{span_ms}"
-            );
-        }
-        TraceKind::Walkout { worker, task, assignment } => {
-            let _ =
-                write!(line, ",\"worker\":{worker},\"task\":{task},\"assignment\":{assignment}");
-        }
-        TraceKind::ReserveTimeout { worker }
-        | TraceKind::StaleRetired { worker }
-        | TraceKind::MaintenanceEvict { worker } => {
-            let _ = write!(line, ",\"worker\":{worker}");
-        }
-        TraceKind::OutageDefer { resume_ms } => {
-            let _ = write!(line, ",\"resume_ms\":{resume_ms}");
-        }
-        TraceKind::OutageResume => {}
-        TraceKind::PoolJoin { worker, occupancy } | TraceKind::PoolLeave { worker, occupancy } => {
-            let _ = write!(line, ",\"worker\":{worker},\"occupancy\":{occupancy}");
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    line.push('}');
-    line
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Append one event line (no trailing newline) to `out`.
+pub fn render_event_into(out: &mut Vec<u8>, event: &TraceEvent) {
+    out.extend_from_slice(b"{\"v\":");
+    push_u64(out, TRACE_SCHEMA_VERSION.into());
+    out.extend_from_slice(b",\"seq\":");
+    push_u64(out, event.seq);
+    out.extend_from_slice(b",\"at_ms\":");
+    push_u64(out, event.at_ms);
+    out.extend_from_slice(b",\"ev\":\"");
+    out.extend_from_slice(event.kind.event_name().as_str().as_bytes());
+    out.push(b'"');
+    let (values, n) = event.kind.field_values();
+    for (key, &value) in event.kind.field_keys().iter().zip(&values[..n]) {
+        out.extend_from_slice(b",\"");
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\":");
+        push_u64(out, value);
+    }
+    out.push(b'}');
+}
+
+/// Render one event line (no trailing newline).
+pub fn render_event(event: &TraceEvent) -> String {
+    let mut line = Vec::with_capacity(96);
+    render_event_into(&mut line, event);
+    String::from_utf8(line).expect("trace lines are ASCII")
+}
+
+/// Append one newline-terminated JSONL section to `out`: the
+/// [`render_header`] line, then one line per event.
+pub fn render_section_into<'a>(
+    out: &mut Vec<u8>,
+    scenario: &str,
+    seed: u64,
+    events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+    recorded: u64,
+    dropped: u64,
+    fingerprint: u64,
+) {
+    let header = render_header(scenario, seed, events.len(), recorded, dropped, fingerprint);
+    out.reserve(header.len() + 1 + 96 * events.len());
+    out.extend_from_slice(header.as_bytes());
+    out.push(b'\n');
+    for event in events {
+        render_event_into(out, event);
+        out.push(b'\n');
+    }
 }
 
 /// FNV-1a over every event's fixed-width encoding: `seq` and `at_ms` as
 /// LE `u64`, the kind index as one byte, then the variant's payload
 /// (see [`TraceKind::field_values`]) as LE `u64`s in render order.
 ///
-/// This hashes exactly the information the rendered JSONL line carries —
-/// [`render_event`] is a pure function of these fields — but skips the
-/// per-event string rendering, keeping `into_report` off the formatting
-/// path (the whole-run overhead guard in the `hotloop` bench depends on
-/// this). Equal fingerprints therefore imply byte-identical rendered
-/// traces, and the committed golden fingerprints pin the stream just as
-/// tightly as hashing the text would.
+/// This hashes exactly the fields the rendered JSONL line is built from
+/// — [`render_event_into`] writes the kind's name and
+/// [`TraceKind::field_keys`] around these values — but skips the
+/// per-event rendering, keeping `into_report` off the formatting path
+/// (the whole-run overhead guard in the `hotloop` bench depends on
+/// this). Equal fingerprints imply byte-identical traces only for a
+/// fixed renderer; the renderer's own bytes are pinned separately, by
+/// the literal lines in this module's tests and the scenarios crate's
+/// `trace_jsonl_fnv` golden.
 pub fn fingerprint_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> u64 {
     let mut fnv = Fnv::new();
     for event in events {
-        fnv.write(&event.seq.to_le_bytes());
-        fnv.write(&event.at_ms.to_le_bytes());
+        fnv.write_u64(event.seq);
+        fnv.write_u64(event.at_ms);
         fnv.write(&[event.kind.index() as u8]);
         let (values, n) = event.kind.field_values();
-        for value in &values[..n] {
-            fnv.write(&value.to_le_bytes());
+        for &value in &values[..n] {
+            fnv.write_u64(value);
         }
     }
     fnv.finish()
@@ -183,6 +242,7 @@ pub fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::TraceKind;
 
     /// Minimal structural check for the flat (non-nested) objects this
     /// renderer emits: balanced outer braces, well-paired quotes, and
@@ -254,6 +314,38 @@ mod tests {
         let mut foobar = Fnv::new();
         foobar.write(b"foobar");
         assert_eq!(foobar.finish(), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn write_u64_matches_bytewise_write() {
+        let mut values = vec![0, 1, 0xff, 0x100, u64::MAX];
+        values.extend((0..64).map(|k| 1u64 << k));
+        // A splitmix64 sweep: every byte width, dense and sparse.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            values.push(z);
+            values.push(z >> (z % 64));
+        }
+        for v in values {
+            let mut bytewise = Fnv::new();
+            bytewise.write(b"prefix");
+            let mut wordwise = bytewise.clone();
+            bytewise.write(&v.to_le_bytes());
+            wordwise.write_u64(v);
+            assert_eq!(wordwise.finish(), bytewise.finish(), "v = {v:#x}");
+        }
+    }
+
+    #[test]
+    fn field_keys_align_with_field_values() {
+        for kind in all_kinds(1, 2) {
+            assert_eq!(kind.field_keys().len(), kind.field_values().1, "{kind:?}");
+        }
     }
 
     #[test]

@@ -38,42 +38,38 @@ impl StreamDigest {
         StreamDigest { tasks: Fnv::new(), assignments: Fnv::new(), batches: Fnv::new() }
     }
 
-    fn word(h: &mut Fnv, w: u64) {
-        h.write(&w.to_le_bytes());
-    }
-
     /// Fold one task record.
     pub fn fold_task(&mut self, t: &TaskRecord) {
         let h = &mut self.tasks;
-        Self::word(h, t.task as u64);
-        Self::word(h, t.batch as u64);
-        Self::word(h, t.ng as u64);
-        Self::word(h, t.created.as_millis());
-        Self::word(h, t.completed.as_millis());
-        Self::word(h, t.winner.0 as u64);
-        Self::word(h, t.winner_span.as_millis());
-        Self::word(h, t.winner_age as u64);
-        Self::word(h, t.correct as u64);
+        h.write_u64(t.task as u64);
+        h.write_u64(t.batch as u64);
+        h.write_u64(t.ng as u64);
+        h.write_u64(t.created.as_millis());
+        h.write_u64(t.completed.as_millis());
+        h.write_u64(t.winner.0 as u64);
+        h.write_u64(t.winner_span.as_millis());
+        h.write_u64(t.winner_age as u64);
+        h.write_u64(t.correct as u64);
     }
 
     /// Fold one assignment record.
     pub fn fold_assignment(&mut self, a: &AssignmentRecord) {
         let h = &mut self.assignments;
-        Self::word(h, a.task as u64);
-        Self::word(h, a.worker.0 as u64);
-        Self::word(h, a.start.as_millis());
-        Self::word(h, a.end.as_millis());
-        Self::word(h, a.terminated as u64);
+        h.write_u64(a.task as u64);
+        h.write_u64(a.worker.0 as u64);
+        h.write_u64(a.start.as_millis());
+        h.write_u64(a.end.as_millis());
+        h.write_u64(a.terminated as u64);
     }
 
     /// Fold one batch-statistics row.
     pub fn fold_batch(&mut self, b: &BatchStats) {
         let h = &mut self.batches;
-        Self::word(h, b.index as u64);
-        Self::word(h, b.start.as_millis());
-        Self::word(h, b.end.as_millis());
-        Self::word(h, b.tasks as u64);
-        Self::word(h, b.evicted as u64);
+        h.write_u64(b.index as u64);
+        h.write_u64(b.start.as_millis());
+        h.write_u64(b.end.as_millis());
+        h.write_u64(b.tasks as u64);
+        h.write_u64(b.evicted as u64);
     }
 
     /// The three fingerprints `(tasks, assignments, batches)` as of the

@@ -191,7 +191,7 @@ where
     let mut emitted = 0usize;
     let mut last: Option<StreamCheckpoint> = None;
     let mut totals = Totals::default();
-    // Retained-mode fold cursors over the runner's accumulated rows.
+    // Fold cursors over the runner's unretired report rows.
     let (mut tcur, mut acur, mut bcur) = (0usize, 0usize, 0usize);
     let mut admitted = 0usize;
     let mut since_ckpt = 0usize;
@@ -205,45 +205,32 @@ where
         admitted += want;
         runner.run_batch(chunk);
 
-        // Fold the report rows this batch appended — either by draining
-        // them out of the runner (retire mode) or by advancing cursors
-        // over its retained vectors. Both orders are per-table append
-        // order, so the digests agree.
+        // Fold the report rows this batch appended: the suffix past the
+        // cursors, in per-table append order. Retire mode then drops
+        // every folded row (capacity kept) and rewinds the cursors;
+        // retained mode keeps them for the final report.
+        let tasks = runner.task_records();
+        since_ckpt += tasks.len() - tcur;
+        for t in &tasks[tcur..] {
+            digest.fold_task(t);
+            totals.task(t);
+        }
+        tcur = tasks.len();
+        let assigns = runner.assignment_records();
+        for a in &assigns[acur..] {
+            digest.fold_assignment(a);
+            totals.assignment(a);
+        }
+        acur = assigns.len();
+        let batches = runner.batch_stats();
+        for b in &batches[bcur..] {
+            digest.fold_batch(b);
+            totals.batch();
+        }
+        bcur = batches.len();
         if stream.retire {
-            let rows = runner.retire_completed();
-            since_ckpt += rows.tasks.len();
-            for t in &rows.tasks {
-                digest.fold_task(t);
-                totals.task(t);
-            }
-            for a in &rows.assignments {
-                digest.fold_assignment(a);
-                totals.assignment(a);
-            }
-            for b in &rows.batches {
-                digest.fold_batch(b);
-                totals.batch();
-            }
-        } else {
-            let tasks = runner.task_records();
-            since_ckpt += tasks.len() - tcur;
-            for t in &tasks[tcur..] {
-                digest.fold_task(t);
-                totals.task(t);
-            }
-            tcur = tasks.len();
-            let assigns = runner.assignment_records();
-            for a in &assigns[acur..] {
-                digest.fold_assignment(a);
-                totals.assignment(a);
-            }
-            acur = assigns.len();
-            let batches = runner.batch_stats();
-            for b in &batches[bcur..] {
-                digest.fold_batch(b);
-                totals.batch();
-            }
-            bcur = batches.len();
+            runner.retire_completed();
+            (tcur, acur, bcur) = (0, 0, 0);
         }
 
         // Snapshot at this boundary if enough tasks completed — and
