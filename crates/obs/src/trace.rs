@@ -99,6 +99,10 @@ pub fn fingerprint_hex(fp: u64) -> String {
     format!("fnv1a:{fp:016x}")
 }
 
+/// Capacity hint for one event line: the traced workload's lines
+/// average about 85 bytes.
+const LINE_HINT: usize = 96;
+
 /// Append the decimal digits of `v`.
 fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
@@ -137,7 +141,7 @@ pub fn render_event_into(out: &mut Vec<u8>, event: &TraceEvent) {
 
 /// Render one event line (no trailing newline).
 pub fn render_event(event: &TraceEvent) -> String {
-    let mut line = Vec::with_capacity(96);
+    let mut line = Vec::with_capacity(LINE_HINT);
     render_event_into(&mut line, event);
     String::from_utf8(line).expect("trace lines are ASCII")
 }
@@ -154,7 +158,7 @@ pub fn render_section_into<'a>(
     fingerprint: u64,
 ) {
     let header = render_header(scenario, seed, events.len(), recorded, dropped, fingerprint);
-    out.reserve(header.len() + 1 + 96 * events.len());
+    out.reserve(header.len() + 1 + LINE_HINT * events.len());
     out.extend_from_slice(header.as_bytes());
     out.push(b'\n');
     for event in events {

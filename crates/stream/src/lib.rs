@@ -42,8 +42,8 @@
 //!    the id base of the live tables
 //!    ([`Runner::retire_completed`](clamshell_core::Runner::retire_completed)),
 //!    never a scheduling decision. The incremental [`StreamDigest`]
-//!    folds rows as they retire and equals the digest of the batched
-//!    report.
+//!    folds each batch's rows just before they retire and equals the
+//!    digest of the batched report.
 //!
 //! Modules:
 //!
