@@ -347,7 +347,8 @@ mod tests {
 
     #[test]
     fn field_keys_align_with_field_values() {
-        for kind in all_kinds(1, 2) {
+        for (i, kind) in all_kinds(1, 2).into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "all_kinds covers every kind once");
             assert_eq!(kind.field_keys().len(), kind.field_values().1, "{kind:?}");
         }
     }
