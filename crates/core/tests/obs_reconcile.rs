@@ -8,6 +8,8 @@ use clamshell_core::adversity::{AdversityConfig, ChurnFault, OutageFault};
 use clamshell_core::config::{MaintenanceConfig, ObsConfig, PoolConfig, RunConfig};
 use clamshell_core::runner::run_batched;
 use clamshell_core::task::TaskSpec;
+use clamshell_obs::registry::OCCUPANCY_BOUNDS;
+use clamshell_obs::{names, Histogram, ObsReport, TraceKind};
 use clamshell_sim::time::SimDuration;
 use clamshell_trace::Population;
 
@@ -54,12 +56,47 @@ fn reconcile(cfg: RunConfig, n_tasks: usize, label: &str) {
             "{label}: counter vs ring drift for {ev}"
         );
     }
-    // Pool membership flow is balanced: everyone who joined also left
-    // (the drain in `finish` empties the pool).
+    pool_metrics_reconcile(obs, label);
+}
+
+/// The pool metrics are the pool events, aggregated: membership flow
+/// balances, every checkout is checked in once, and the occupancy gauge
+/// and histogram are the maximum and the buckets of the occupancy each
+/// join and leave event carries. The three entries exist even at zero.
+fn pool_metrics_reconcile(obs: &ObsReport, label: &str) {
+    // Everyone who joined also left (the drain in `finish` empties the
+    // pool).
     assert_eq!(
         obs.event_count("pool_join"),
         obs.event_count("pool_leave"),
         "{label}: pool joins and leaves must balance at drain"
+    );
+    assert_eq!(
+        obs.metrics.counters.get(names::POOL_CHECKIN.as_str()).copied(),
+        Some(obs.event_count("checkout")),
+        "{label}: every checkout must be checked in exactly once"
+    );
+    let mut occupancy = Histogram::new(OCCUPANCY_BOUNDS);
+    let mut hwm = 0;
+    for ev in &obs.events {
+        if let TraceKind::PoolJoin { occupancy: o, .. }
+        | TraceKind::PoolLeave { occupancy: o, .. } = ev.kind
+        {
+            occupancy.observe(o);
+            hwm = hwm.max(o);
+        }
+    }
+    assert_eq!(
+        obs.metrics.gauges.get(names::POOL_OCCUPANCY_HWM.as_str()).copied(),
+        Some(hwm),
+        "{label}: occupancy high-water mark must be the largest join/leave occupancy"
+    );
+    let hist = obs.histogram(names::POOL_OCCUPANCY.as_str()).expect("occupancy histogram");
+    assert_eq!(hist.bounds, OCCUPANCY_BOUNDS, "{label}: occupancy bucket bounds");
+    assert_eq!(
+        hist.counts,
+        occupancy.counts(),
+        "{label}: occupancy buckets must be the join/leave occupancies"
     );
 }
 
@@ -145,7 +182,7 @@ fn reserve_timeouts_reconcile() {
     assert!(report.reserve_expired > 0, "timeouts must fire for the audit to bite");
     let obs = report.obs.as_ref().unwrap();
     assert_eq!(obs.event_count("reserve_timeout"), report.reserve_expired);
-    assert_eq!(obs.event_count("pool_join"), obs.event_count("pool_leave"));
+    pool_metrics_reconcile(obs, "reserve");
 }
 
 #[test]

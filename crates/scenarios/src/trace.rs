@@ -16,7 +16,7 @@
 use crate::catalog;
 use crate::suite;
 use clamshell_core::RunConfig;
-use clamshell_obs::{fingerprint_hex, ObsConfig};
+use clamshell_obs::{fingerprint_hex, MetricsSnapshot, ObsConfig};
 use serde::{Deserialize, Serialize};
 
 /// Golden-file key under `crates/scenarios/golden/`.
@@ -52,6 +52,9 @@ pub struct TraceCell {
     pub row: TraceRow,
     /// Rendered JSONL trace (header line + one line per event).
     pub jsonl: String,
+    /// The run's metrics registry (`ObsReport::metrics`), pinned by
+    /// digest in `trace_metrics_fnv.json`.
+    pub metrics: MetricsSnapshot,
 }
 
 /// The suite's base config with observability on and a lossless ring.
@@ -82,6 +85,7 @@ pub fn trace_suite(threads: Option<usize>) -> Vec<(&'static str, Vec<TraceCell>)
                 fingerprint: fingerprint_hex(obs.fingerprint),
             },
             jsonl: obs.render_jsonl(name, seed),
+            metrics: obs.metrics.clone(),
         };
         rows[scenario].1.push(cell);
     }
@@ -130,6 +134,7 @@ mod tests {
                 fingerprint: "fnv1a:0000000000000000".to_string(),
             },
             jsonl: String::new(),
+            metrics: MetricsSnapshot::default(),
         };
         let rows = vec![("a", vec![cell("a", 1), cell("a", 2)]), ("b", vec![cell("b", 1)])];
         let text = render_rows(&rows);

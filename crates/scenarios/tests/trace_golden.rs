@@ -5,6 +5,8 @@
 //! byte for byte, the FNV-1a of every cell's rendered JSONL must match
 //! `crates/scenarios/golden/trace_jsonl_fnv.json` (the fingerprints hash
 //! structured fields, so only this file pins the renderer's bytes), the
+//! FNV-1a of every cell's serialized metrics registry must match
+//! `crates/scenarios/golden/trace_metrics_fnv.json`, the
 //! JSONL must be identical at 1 and 4 sweep threads, and turning
 //! observability on must leave the compact-report goldens untouched —
 //! the zero-perturbation half of the contract.
@@ -17,6 +19,9 @@ use clamshell_scenarios::{golden, suite, trace};
 
 /// Golden-file key for the rendered-bytes digests.
 const JSONL_GOLDEN: &str = "trace_jsonl_fnv";
+
+/// Golden-file key for the metrics-registry digests.
+const METRICS_GOLDEN: &str = "trace_metrics_fnv";
 
 #[test]
 fn trace_fingerprint_conformance() {
@@ -78,6 +83,42 @@ fn trace_jsonl_bytes_are_pinned() {
             "rendered trace bytes drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
         ),
         None => panic!("no committed trace JSONL digests (bless with CLAMSHELL_BLESS=1)"),
+    }
+}
+
+#[test]
+fn trace_metrics_are_pinned() {
+    // One line per cell: the length and FNV-1a of its serialized
+    // `ObsReport.metrics`. The trace goldens hash events only, so this
+    // is what pins the registry fold: every counter, gauge and
+    // histogram bucket, including the pool metrics.
+    let lines: Vec<String> = trace::trace_suite(None)
+        .iter()
+        .flat_map(|(name, cells)| {
+            cells.iter().map(move |c| {
+                let json = serde_json::to_string(&c.metrics).expect("metrics serialize");
+                let mut h = Fnv::new();
+                h.write(json.as_bytes());
+                format!(
+                    "{{\"scenario\":\"{name}\",\"seed\":{},\"bytes\":{},\"metrics\":\"{}\"}}",
+                    c.row.seed,
+                    json.len(),
+                    fingerprint_hex(h.finish())
+                )
+            })
+        })
+        .collect();
+    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
+    if golden::blessing() {
+        golden::bless(METRICS_GOLDEN, &rendered);
+        return;
+    }
+    match golden::read(METRICS_GOLDEN) {
+        Some(committed) => assert_eq!(
+            committed, rendered,
+            "trace metrics drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
+        ),
+        None => panic!("no committed trace metrics digests (bless with CLAMSHELL_BLESS=1)"),
     }
 }
 
