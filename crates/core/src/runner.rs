@@ -219,13 +219,8 @@ impl Runner {
                 SimDuration::from_secs_f64(o.mean_outage_secs),
             )
         });
-        let mut pool = RetainerPool::with_config(cfg.pool_size, cfg.pool);
-        let obs = if cfg.obs.enabled {
-            pool.enable_obs();
-            Some(Box::new(RunObserver::new(&cfg.obs)))
-        } else {
-            None
-        };
+        let pool = RetainerPool::with_config(cfg.pool_size, cfg.pool);
+        let obs = cfg.obs.enabled.then(|| Box::new(RunObserver::new(&cfg.obs)));
         let pool_idle =
             cfg.pool.idle_timeout.map(|t| (t, fault_stream(cfg.seed, streams::POOL_IDLE)));
         Runner {
@@ -388,14 +383,7 @@ impl Runner {
         for (since, _) in std::mem::take(&mut self.reserve).into_values() {
             self.platform.pay_wait(now.since(since));
         }
-        // Fold the pool's transition aggregates into the registry, then
-        // collapse the observer into its serializable report.
-        let obs_report = self.obs.take().map(|mut obs| {
-            if let Some(pool_obs) = self.pool.obs() {
-                obs.absorb_pool(pool_obs);
-            }
-            obs.into_report()
-        });
+        let obs_report = self.obs.take().map(|obs| obs.into_report());
         RunReport {
             tasks: self.task_records,
             assignments: self.assignment_records,

@@ -72,6 +72,11 @@ fn pool_metrics_reconcile(obs: &ObsReport, label: &str) {
         "{label}: pool joins and leaves must balance at drain"
     );
     assert_eq!(
+        obs.event_count("checkout"),
+        obs.event_count("dispatch"),
+        "{label}: every dispatch checks a worker out"
+    );
+    assert_eq!(
         obs.metrics.counters.get(names::POOL_CHECKIN.as_str()).copied(),
         Some(obs.event_count("checkout")),
         "{label}: every checkout must be checked in exactly once"

@@ -59,13 +59,6 @@ impl CostLedger {
     pub fn total_usd(&self) -> f64 {
         self.total_micro() as f64 / 1e6
     }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.wait_micro += other.wait_micro;
-        self.work_micro += other.work_micro;
-        self.recruit_micro += other.recruit_micro;
-    }
 }
 
 #[cfg(test)]
@@ -96,16 +89,12 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_merge_are_additive() {
-        let mut a = CostLedger::new();
-        a.charge_wait(SimDuration::from_mins(2), 0.05);
-        a.charge_work(10, 0.02);
-        let mut b = CostLedger::new();
-        b.charge_recruitment(0.10);
-        b.charge_work(5, 0.02);
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.total_micro(), a.total_micro() + b.total_micro());
+    fn total_sums_every_charge() {
+        let mut l = CostLedger::new();
+        l.charge_wait(SimDuration::from_mins(2), 0.05);
+        l.charge_work(10, 0.02);
+        l.charge_recruitment(0.10);
+        assert_eq!(l.total_micro(), 100_000 + 200_000 + 100_000);
     }
 
     #[test]

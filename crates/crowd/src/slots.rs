@@ -33,9 +33,12 @@
 //! At the default config (no floor, FIFO, no timeout, generations off)
 //! every one of these mechanisms is inert and the pool behaves exactly
 //! like the flat slot set it replaced — byte-identical runs.
+//!
+//! The pool records no metrics. The runner records a trace event for
+//! every join, leave and checkout, and the observer derives the pool
+//! metrics from those events.
 
 use crate::platform::WorkerId;
-use clamshell_obs::PoolObs;
 use clamshell_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -111,10 +114,6 @@ pub struct RetainerPool<T = ()> {
     config: PoolConfig,
     generation: u64,
     members: BTreeMap<WorkerId, Member<T>>,
-    /// Transition counters, present only when the run has observability
-    /// enabled. `None` (the default) records nothing and keeps the pool
-    /// byte-identical to a pre-obs build.
-    obs: Option<PoolObs>,
 }
 
 impl RetainerPool {
@@ -135,20 +134,7 @@ impl<T> RetainerPool<T> {
                 "pool min_size must be in 1..=capacity ({min} vs {capacity})"
             );
         }
-        RetainerPool { capacity, config, generation: 0, members: BTreeMap::new(), obs: None }
-    }
-
-    /// Start counting pool state transitions (called by the runner when
-    /// `ObsConfig.enabled`). Idempotent; existing counts are kept.
-    pub fn enable_obs(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(PoolObs::new());
-        }
-    }
-
-    /// The transition counters, if observability is enabled.
-    pub fn obs(&self) -> Option<&PoolObs> {
-        self.obs.as_ref()
+        RetainerPool { capacity, config, generation: 0, members: BTreeMap::new() }
     }
 
     /// Target size `Np`.
@@ -236,9 +222,6 @@ impl<T> RetainerPool<T> {
                 data,
             },
         );
-        if let Some(obs) = &mut self.obs {
-            obs.note_join(self.members.len() as u64);
-        }
         true
     }
 
@@ -247,13 +230,6 @@ impl<T> RetainerPool<T> {
     /// last became idle), or `None` if the worker was not a member.
     pub fn leave(&mut self, w: WorkerId, now: SimTime) -> Option<SimDuration> {
         let m = self.members.remove(&w)?;
-        if let Some(obs) = &mut self.obs {
-            // A working member departing also vacates its checkout.
-            if matches!(m.state, MemberState::Working { .. }) {
-                obs.note_checkin();
-            }
-            obs.note_leave(self.members.len() as u64);
-        }
         Some(match m.state {
             MemberState::Waiting { since } => now.since(since),
             MemberState::Working { .. } => SimDuration::ZERO,
@@ -280,34 +256,26 @@ impl<T> RetainerPool<T> {
     /// worker is not a waiting member — that is a scheduler bug.
     pub fn start_work(&mut self, w: WorkerId, now: SimTime) -> SimDuration {
         let m = self.members.get_mut(&w).expect("start_work: not a member");
-        let waited = match m.state {
+        match m.state {
             MemberState::Waiting { since } => {
                 m.state = MemberState::Working { since: now };
                 now.since(since)
             }
             MemberState::Working { .. } => panic!("start_work: {w} already working"),
-        };
-        if let Some(obs) = &mut self.obs {
-            obs.note_checkout();
         }
-        waited
     }
 
     /// Transition a working worker back to waiting, whether the
     /// assignment finished or was terminated. Returns the work duration.
     pub fn finish_work(&mut self, w: WorkerId, now: SimTime) -> SimDuration {
         let m = self.members.get_mut(&w).expect("finish_work: not a member");
-        let worked = match m.state {
+        match m.state {
             MemberState::Working { since } => {
                 m.state = MemberState::Waiting { since: now };
                 now.since(since)
             }
             MemberState::Waiting { .. } => panic!("finish_work: {w} not working"),
-        };
-        if let Some(obs) = &mut self.obs {
-            obs.note_checkin();
         }
-        worked
     }
 
     /// All members in deterministic order.
@@ -467,38 +435,6 @@ mod tests {
         let mut order = vec![WorkerId(0), WorkerId(1), WorkerId(2)];
         p.order_checkouts(&mut order);
         assert_eq!(order, vec![WorkerId(0), WorkerId(1), WorkerId(2)]);
-    }
-
-    #[test]
-    fn obs_disabled_by_default_and_counts_when_enabled() {
-        let mut p = RetainerPool::new(3);
-        assert!(p.obs().is_none(), "obs must be opt-in");
-        p.enable_obs();
-        p.join(WorkerId(0), t(0), ());
-        p.join(WorkerId(1), t(0), ());
-        p.start_work(WorkerId(0), t(5));
-        p.finish_work(WorkerId(0), t(10));
-        p.leave(WorkerId(1), t(12));
-        let obs = p.obs().expect("enabled");
-        assert_eq!(obs.joins, 2);
-        assert_eq!(obs.leaves, 1);
-        assert_eq!(obs.checkouts, 1);
-        assert_eq!(obs.checkins, 1);
-        assert_eq!(obs.occupancy_hwm, 2);
-    }
-
-    #[test]
-    fn obs_counts_working_departure_as_checkin() {
-        let mut p = RetainerPool::new(2);
-        p.enable_obs();
-        p.join(WorkerId(0), t(0), ());
-        p.start_work(WorkerId(0), t(1));
-        // Walkout mid-assignment: the checkout must still be balanced.
-        p.leave(WorkerId(0), t(2));
-        let obs = p.obs().expect("enabled");
-        assert_eq!(obs.checkouts, 1);
-        assert_eq!(obs.checkins, 1);
-        assert_eq!(obs.leaves, 1);
     }
 
     #[test]

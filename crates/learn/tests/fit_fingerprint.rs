@@ -18,7 +18,7 @@ const POOL: usize = 120;
 fn fingerprint(weights: &[f64], bias: &[f64]) -> u64 {
     let mut h = Fnv::new();
     for v in weights.iter().chain(bias) {
-        h.write(&v.to_bits().to_le_bytes());
+        h.write_u64(v.to_bits());
     }
     h.finish()
 }

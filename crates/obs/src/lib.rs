@@ -8,11 +8,12 @@
 //!
 //! Three layers:
 //!
-//! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket histograms
+//! * [`MetricsSnapshot`] — counters, gauges, and fixed-bucket histograms
 //!   keyed by [`MetricName`] (`&'static str` newtypes declared once in
-//!   [`name::names`]). Storage is ordered (`BTreeMap`), timestamps are
-//!   sim-time only, and [`MetricsSnapshot::merge`] gives `sweep` a fold
-//!   that works in job-index order exactly like `OnlineStats`.
+//!   [`name::names`]). Storage is ordered (`BTreeMap`) and timestamps
+//!   are sim-time only. Every metric, the pool's included, is derived
+//!   from the events [`RunObserver::record`] sees: the runner is the one
+//!   recording point.
 //! * [`FlightRecorder`] — a bounded ring buffer of [`TraceEvent`]s that
 //!   the runner dumps on panic and that `repro --trace` streams to JSONL
 //!   with a stable versioned schema (see [`trace`]).
@@ -23,7 +24,6 @@
 pub mod config;
 pub mod name;
 mod observer;
-pub mod pool;
 pub mod recorder;
 pub mod registry;
 pub mod trace;
@@ -31,7 +31,6 @@ pub mod trace;
 pub use config::ObsConfig;
 pub use name::{names, EventName, MetricName};
 pub use observer::{ObsReport, RunObserver};
-pub use pool::PoolObs;
 pub use recorder::{FlightRecorder, TraceEvent, TraceKind};
-pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{fingerprint_hex, json_str, Fnv, TRACE_SCHEMA_VERSION};

@@ -9,9 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Key for a counter, gauge, or histogram in the [`MetricsRegistry`].
+/// Key for a counter, gauge, or histogram in a [`MetricsSnapshot`].
 ///
-/// [`MetricsRegistry`]: crate::MetricsRegistry
+/// [`MetricsSnapshot`]: crate::MetricsSnapshot
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MetricName(pub &'static str);
 
@@ -51,7 +51,8 @@ pub mod names {
     pub const RUNNER_QUEUE_DEPTH: MetricName = MetricName("runner.queue_depth");
     pub const RUNNER_QUEUE_DEPTH_HWM: MetricName = MetricName("runner.queue_depth_hwm");
 
-    // Retainer-pool state transitions (folded in from `PoolObs`).
+    // Retainer-pool state transitions, derived from the `PoolJoin`,
+    // `PoolLeave` and `Checkout` events.
     pub const POOL_JOIN: MetricName = MetricName("pool.join");
     pub const POOL_LEAVE: MetricName = MetricName("pool.leave");
     pub const POOL_CHECKIN: MetricName = MetricName("pool.checkin");

@@ -7,25 +7,23 @@ use clamshell_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::config::ObsConfig;
-use crate::name::names;
-use crate::pool::PoolObs;
+use crate::name::{names, MetricName};
 use crate::recorder::{FlightRecorder, TraceEvent, TraceKind, KIND_COUNTERS};
-use crate::registry::{Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::registry::{HistogramSnapshot, OCCUPANCY_BOUNDS, QUEUE_DEPTH_BOUNDS, SPAN_BOUNDS_MS};
+use crate::registry::{Histogram, HistogramSnapshot, MetricsSnapshot};
+use crate::registry::{OCCUPANCY_BOUNDS, QUEUE_DEPTH_BOUNDS, SPAN_BOUNDS_MS};
 use crate::trace::{self, TRACE_SCHEMA_VERSION};
 
-/// Live observability state for one run: the metrics registry plus the
-/// flight recorder. Constructed only when `ObsConfig.enabled`; the
-/// disabled path holds `None` and costs one branch per instrumentation
-/// point.
+/// Live observability state for one run: the flight recorder plus the
+/// metrics aggregated from the events it records. Constructed only when
+/// `ObsConfig.enabled`; the disabled path holds `None` and costs one
+/// branch per instrumentation point.
 ///
 /// The per-event counters and histograms live in flat fields (array
 /// index / bucket scan, no map lookup) so an enabled run stays cheap on
-/// the hot path; they fold into the ordered registry once, at
+/// the hot path; they become the ordered [`MetricsSnapshot`] once, at
 /// [`RunObserver::into_report`].
 #[derive(Debug, Clone)]
 pub struct RunObserver {
-    pub registry: MetricsRegistry,
     pub recorder: FlightRecorder,
     /// Per-kind event counts, indexed by [`TraceKind::index`].
     kind_counts: [u64; TraceKind::COUNT],
@@ -37,29 +35,40 @@ pub struct RunObserver {
     queue_depth_hwm: u64,
     /// Queue-depth samples taken (0 = the gauge/histogram never existed).
     queue_samples: u64,
+    /// Pool occupancy after each join and leave (`pool.occupancy`).
+    occupancy: Histogram,
+    /// Largest occupancy a join or leave reported (`pool.occupancy_hwm`).
+    occupancy_hwm: u64,
 }
 
 impl RunObserver {
     pub fn new(cfg: &ObsConfig) -> Self {
         cfg.validate();
         RunObserver {
-            registry: MetricsRegistry::new(),
             recorder: FlightRecorder::new(cfg.ring_capacity),
             kind_counts: [0; TraceKind::COUNT],
             span: Histogram::new(SPAN_BOUNDS_MS),
             queue_depth: Histogram::new(QUEUE_DEPTH_BOUNDS),
             queue_depth_hwm: 0,
             queue_samples: 0,
+            occupancy: Histogram::new(OCCUPANCY_BOUNDS),
+            occupancy_hwm: 0,
         }
     }
 
     /// Record a structured event: appends to the ring, bumps the
     /// matching counter, and feeds the latency histogram for
-    /// `AssignmentDone`.
+    /// `AssignmentDone` and the occupancy histogram and high-water mark
+    /// for `PoolJoin`/`PoolLeave`.
     pub fn record(&mut self, at: SimTime, kind: TraceKind) {
         self.kind_counts[kind.index()] += 1;
-        if let TraceKind::AssignmentDone { span_ms, .. } = kind {
-            self.span.observe(span_ms);
+        match kind {
+            TraceKind::AssignmentDone { span_ms, .. } => self.span.observe(span_ms),
+            TraceKind::PoolJoin { occupancy, .. } | TraceKind::PoolLeave { occupancy, .. } => {
+                self.occupancy.observe(occupancy);
+                self.occupancy_hwm = self.occupancy_hwm.max(occupancy);
+            }
+            _ => {}
         }
         self.recorder.record(at.as_millis(), kind);
     }
@@ -73,57 +82,41 @@ impl RunObserver {
         }
     }
 
-    /// Fold the flat hot-path state into the ordered registry. Idempotent
-    /// only in the trivial sense (the flat fields are left untouched), so
-    /// it runs exactly once, from [`Self::into_report`].
-    fn fold_hot_state(&mut self) {
-        for (i, &n) in self.kind_counts.iter().enumerate() {
+    /// The run's metrics, from the flat hot-path state: a counter per
+    /// recorded event kind, the span and queue-depth histograms once
+    /// observed, and the pool metrics, which are written even at zero.
+    fn metrics(&self) -> MetricsSnapshot {
+        let key = |name: MetricName| name.as_str().to_string();
+        let mut m = MetricsSnapshot::default();
+        for (&name, &n) in KIND_COUNTERS.iter().zip(&self.kind_counts) {
             if n > 0 {
-                self.registry.add(KIND_COUNTERS[i], n);
+                m.counters.insert(key(name), n);
             }
         }
         if self.span.total() > 0 {
-            self.registry.absorb_histogram(
-                names::RUNNER_ASSIGNMENT_SPAN_MS,
-                SPAN_BOUNDS_MS,
-                self.span.counts(),
-            );
+            m.histograms.insert(key(names::RUNNER_ASSIGNMENT_SPAN_MS), self.span.snapshot());
         }
         if self.queue_samples > 0 {
-            self.registry.absorb_histogram(
-                names::RUNNER_QUEUE_DEPTH,
-                QUEUE_DEPTH_BOUNDS,
-                self.queue_depth.counts(),
-            );
-            self.registry.gauge_max(names::RUNNER_QUEUE_DEPTH_HWM, self.queue_depth_hwm);
+            m.histograms.insert(key(names::RUNNER_QUEUE_DEPTH), self.queue_depth.snapshot());
+            m.gauges.insert(key(names::RUNNER_QUEUE_DEPTH_HWM), self.queue_depth_hwm);
         }
-    }
-
-    /// Fold the pool's transition counters into the shared registry.
-    /// Join/leave/checkout *counters* already arrive via trace events,
-    /// so only the pool-local aggregates (check-ins, occupancy
-    /// distribution and high-water mark) are absorbed here; the overlap
-    /// is deliberately kept separate so the reconciliation tests can
-    /// cross-check the two code paths against each other.
-    pub fn absorb_pool(&mut self, pool: &PoolObs) {
-        self.registry.add(names::POOL_CHECKIN, pool.checkins);
-        self.registry.gauge_max(names::POOL_OCCUPANCY_HWM, pool.occupancy_hwm);
-        self.registry.absorb_histogram(
-            names::POOL_OCCUPANCY,
-            OCCUPANCY_BOUNDS,
-            &pool.occupancy_counts,
-        );
+        // Every checkout is checked in exactly once (the runner's
+        // `finish` drains the pool), so check-ins are the checkout count.
+        let checkouts = self.kind_counts[TraceKind::Checkout { worker: 0, waited_ms: 0 }.index()];
+        m.counters.insert(key(names::POOL_CHECKIN), checkouts);
+        m.gauges.insert(key(names::POOL_OCCUPANCY_HWM), self.occupancy_hwm);
+        m.histograms.insert(key(names::POOL_OCCUPANCY), self.occupancy.snapshot());
+        m
     }
 
     /// Collapse into the serializable report that rides on `RunReport`.
-    pub fn into_report(mut self) -> ObsReport {
-        self.fold_hot_state();
+    pub fn into_report(self) -> ObsReport {
         let recorded = self.recorder.recorded();
         let dropped = self.recorder.dropped();
         let fingerprint = trace::fingerprint_events(self.recorder.iter());
         ObsReport {
             schema: TRACE_SCHEMA_VERSION,
-            metrics: self.registry.snapshot(),
+            metrics: self.metrics(),
             events: self.recorder.into_events(),
             recorded,
             dropped,
@@ -257,18 +250,30 @@ mod tests {
     }
 
     #[test]
-    fn absorb_pool_folds_aggregates() {
+    fn pool_metrics_derive_from_pool_events() {
         let mut obs = observer();
-        let mut pool = PoolObs::new();
-        pool.note_join(1);
-        pool.note_join(2);
-        pool.note_checkout();
-        pool.note_checkin();
-        obs.absorb_pool(&pool);
-        assert_eq!(obs.registry.counter(names::POOL_CHECKIN), 1);
-        assert_eq!(obs.registry.gauge(names::POOL_OCCUPANCY_HWM), 2);
-        let hist = obs.registry.histogram(names::POOL_OCCUPANCY).expect("occupancy histogram");
-        assert_eq!(hist.total(), 2);
+        let at = SimTime::from_millis(1);
+        obs.record(at, TraceKind::PoolJoin { worker: 0, occupancy: 1 });
+        obs.record(at, TraceKind::PoolJoin { worker: 1, occupancy: 1_000_000 });
+        obs.record(at, TraceKind::Checkout { worker: 0, waited_ms: 0 });
+        obs.record(at, TraceKind::PoolLeave { worker: 1, occupancy: 1 });
+        let report = obs.into_report();
+        assert_eq!(report.counter(names::POOL_CHECKIN.as_str()), 1);
+        assert_eq!(report.metrics.gauges[names::POOL_OCCUPANCY_HWM.as_str()], 1_000_000);
+        let hist = report.histogram(names::POOL_OCCUPANCY.as_str()).expect("occupancy histogram");
+        assert_eq!(hist.counts[1], 2, "two samples of occupancy 1");
+        assert_eq!(*hist.counts.last().unwrap(), 1, "overflow bucket");
+        assert_eq!(hist.counts.iter().sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn pool_metrics_exist_at_zero() {
+        let report = observer().into_report();
+        assert_eq!(report.metrics.counters.get(names::POOL_CHECKIN.as_str()), Some(&0));
+        assert_eq!(report.metrics.gauges.get(names::POOL_OCCUPANCY_HWM.as_str()), Some(&0));
+        let hist = report.histogram(names::POOL_OCCUPANCY.as_str()).expect("occupancy histogram");
+        assert_eq!(hist.bounds, OCCUPANCY_BOUNDS);
+        assert!(hist.counts.iter().all(|&c| c == 0));
     }
 
     #[test]

@@ -24,19 +24,29 @@ pub fn golden_path(scenario: &str) -> PathBuf {
     golden_dir().join(format!("{scenario}.json"))
 }
 
-/// Render a scenario's per-seed snapshots as the committed file format:
-/// a JSON array with one compact object per line (stable, diffable).
-pub fn render(reports: &[CompactReport]) -> String {
+/// The committed file format of every golden: a JSON array with one
+/// object per line (stable, diffable), `[`, the rows joined by `,` and
+/// a newline, then `]`.
+pub fn render_lines<S: AsRef<str>>(rows: impl IntoIterator<Item = S>) -> String {
     let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&serde_json::to_string(r).expect("compact report serializes"));
-        if i + 1 < reports.len() {
-            out.push(',');
+    let mut rows = rows.into_iter();
+    if let Some(first) = rows.next() {
+        out.push_str(first.as_ref());
+        for row in rows {
+            out.push_str(",\n");
+            out.push_str(row.as_ref());
         }
         out.push('\n');
     }
     out.push_str("]\n");
     out
+}
+
+/// Render a scenario's per-seed snapshots as the committed file format.
+pub fn render(reports: &[CompactReport]) -> String {
+    render_lines(
+        reports.iter().map(|r| serde_json::to_string(r).expect("compact report serializes")),
+    )
 }
 
 /// Read a scenario's committed snapshot, if present.
@@ -55,6 +65,26 @@ pub fn bless(scenario: &str, content: &str) {
 /// comparing (`CLAMSHELL_BLESS` set to anything non-empty).
 pub fn blessing() -> bool {
     std::env::var("CLAMSHELL_BLESS").map(|v| !v.is_empty()).unwrap_or(false)
+}
+
+/// Require `rendered` to equal the committed file `name` byte for byte,
+/// or overwrite the file when [`blessing`]. Panics on drift, naming the
+/// first line that differs, and when no file is committed.
+pub fn check(name: &str, rendered: &str) {
+    if blessing() {
+        bless(name, rendered);
+        return;
+    }
+    let Some(committed) = read(name) else {
+        panic!("no committed golden {name}.json (bless with CLAMSHELL_BLESS=1)");
+    };
+    if committed != rendered {
+        let first = committed.lines().zip(rendered.lines()).position(|(a, b)| a != b);
+        panic!(
+            "golden {name}.json drifted (first differing line index: {first:?}; \
+             regenerate intentionally with CLAMSHELL_BLESS=1)"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +116,13 @@ mod tests {
         assert!(lines[1].ends_with(','));
         assert_eq!(lines[3], "]");
         assert!(text.ends_with("]\n"));
+    }
+
+    #[test]
+    fn render_lines_frames_rows() {
+        assert_eq!(render_lines(Vec::<String>::new()), "[\n]\n");
+        assert_eq!(render_lines(["{}"]), "[\n{}\n]\n");
+        assert_eq!(render_lines(["{\"a\":1}", "{}"]), "[\n{\"a\":1},\n{}\n]\n");
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl CompactReport {
     pub fn of(scenario: &str, seed: u64, report: &RunReport) -> Self {
         let mut h = Fnv::new();
         // Every field is hashed as a little-endian `u64` word.
-        let mut word = |w: u64| h.write(&w.to_le_bytes());
+        let mut word = |w: u64| h.write_u64(w);
         for t in &report.tasks {
             word(t.task as u64);
             word(t.batch as u64);

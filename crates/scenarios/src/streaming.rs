@@ -22,6 +22,7 @@
 //! `CLAMSHELL_BLESS=1 cargo test -p clamshell-scenarios --test stream_golden`
 
 use crate::catalog;
+use crate::golden;
 use crate::suite;
 use clamshell_stream::cells::run_jobs_streamed;
 use clamshell_stream::{StreamCheckpoint, StreamConfig};
@@ -80,26 +81,15 @@ pub fn checkpoint_suite(threads: Option<usize>) -> Vec<StreamCell> {
 /// one `{scenario, seed, ckpt}` object per line, one line per
 /// checkpoint, in catalog × seed × sequence order.
 pub fn render_cells(cells: &[StreamCell]) -> String {
-    let mut rows: Vec<String> = Vec::new();
-    for cell in cells {
-        for c in &cell.checkpoints {
+    golden::render_lines(cells.iter().flat_map(|cell| {
+        cell.checkpoints.iter().map(move |c| {
             let ckpt = serde_json::to_string(c).expect("checkpoint serializes");
-            rows.push(format!(
+            format!(
                 "{{\"scenario\":\"{}\",\"seed\":{},\"ckpt\":{}}}",
                 cell.scenario, cell.seed, ckpt
-            ));
-        }
-    }
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(r);
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+            )
+        })
+    }))
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! `CLAMSHELL_BLESS=1 cargo test -p clamshell-scenarios --test trace_golden`
 
 use crate::catalog;
+use crate::golden;
 use crate::suite;
 use clamshell_core::RunConfig;
 use clamshell_obs::{fingerprint_hex, MetricsSnapshot, ObsConfig};
@@ -95,18 +96,9 @@ pub fn trace_suite(threads: Option<usize>) -> Vec<(&'static str, Vec<TraceCell>)
 /// Render the suite's digest rows as the committed file format: a JSON
 /// array with one object per line, in catalog × seed order.
 pub fn render_rows(rows: &[(&'static str, Vec<TraceCell>)]) -> String {
-    let flat: Vec<&TraceRow> =
-        rows.iter().flat_map(|(_, cells)| cells.iter().map(|c| &c.row)).collect();
-    let mut out = String::from("[\n");
-    for (i, r) in flat.iter().enumerate() {
-        out.push_str(&serde_json::to_string(r).expect("trace row serializes"));
-        if i + 1 < flat.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    golden::render_lines(rows.iter().flat_map(|(_, cells)| {
+        cells.iter().map(|c| serde_json::to_string(&c.row).expect("trace row serializes"))
+    }))
 }
 
 #[cfg(test)]

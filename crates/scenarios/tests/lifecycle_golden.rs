@@ -145,27 +145,14 @@ fn lifecycle_suite(threads: usize) -> Vec<Row> {
 
 /// One JSON object per line, like the other golden files.
 fn render(rows: &[Row]) -> String {
-    let lines: Vec<String> =
-        rows.iter().map(|r| serde_json::to_string(r).expect("row serializes")).collect();
-    format!("[\n{}\n]\n", lines.join(",\n"))
+    golden::render_lines(rows.iter().map(|r| serde_json::to_string(r).expect("row serializes")))
 }
 
 #[test]
 fn lifecycle_fingerprint_conformance() {
     let rows = lifecycle_suite(threads::resolve(None));
     assert_eq!(rows.len(), inputs().len() * catalog().len() * variants().len() * SEEDS.len());
-    let rendered = render(&rows);
-    if golden::blessing() {
-        golden::bless(GOLDEN_NAME, &rendered);
-        return;
-    }
-    match golden::read(GOLDEN_NAME) {
-        Some(committed) => assert_eq!(
-            committed, rendered,
-            "lifecycle fingerprints drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
-        ),
-        None => panic!("no committed lifecycle fingerprints (bless with CLAMSHELL_BLESS=1)"),
-    }
+    golden::check(GOLDEN_NAME, &render(&rows));
 }
 
 #[test]

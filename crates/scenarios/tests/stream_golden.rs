@@ -23,18 +23,7 @@ fn stream_golden_master_conformance() {
             cell.seed
         );
     }
-    let rendered = streaming::render_cells(&cells);
-    if golden::blessing() {
-        golden::bless(streaming::GOLDEN_NAME, &rendered);
-        return;
-    }
-    match golden::read(streaming::GOLDEN_NAME) {
-        Some(committed) if committed == rendered => {}
-        Some(_) => panic!(
-            "stream checkpoint snapshot drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
-        ),
-        None => panic!("no committed stream checkpoint snapshot"),
-    }
+    golden::check(streaming::GOLDEN_NAME, &streaming::render_cells(&cells));
 }
 
 #[test]

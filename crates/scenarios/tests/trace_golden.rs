@@ -38,18 +38,7 @@ fn trace_fingerprint_conformance() {
             );
         }
     }
-    let rendered = trace::render_rows(&rows);
-    if golden::blessing() {
-        golden::bless(trace::GOLDEN_NAME, &rendered);
-        return;
-    }
-    match golden::read(trace::GOLDEN_NAME) {
-        Some(committed) => assert_eq!(
-            committed, rendered,
-            "trace fingerprints drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
-        ),
-        None => panic!("no committed trace fingerprints (bless with CLAMSHELL_BLESS=1)"),
-    }
+    golden::check(trace::GOLDEN_NAME, &trace::render_rows(&rows));
 }
 
 #[test]
@@ -72,18 +61,7 @@ fn trace_jsonl_bytes_are_pinned() {
             })
         })
         .collect();
-    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
-    if golden::blessing() {
-        golden::bless(JSONL_GOLDEN, &rendered);
-        return;
-    }
-    match golden::read(JSONL_GOLDEN) {
-        Some(committed) => assert_eq!(
-            committed, rendered,
-            "rendered trace bytes drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
-        ),
-        None => panic!("no committed trace JSONL digests (bless with CLAMSHELL_BLESS=1)"),
-    }
+    golden::check(JSONL_GOLDEN, &golden::render_lines(lines));
 }
 
 #[test]
@@ -108,18 +86,7 @@ fn trace_metrics_are_pinned() {
             })
         })
         .collect();
-    let rendered = format!("[\n{}\n]\n", lines.join(",\n"));
-    if golden::blessing() {
-        golden::bless(METRICS_GOLDEN, &rendered);
-        return;
-    }
-    match golden::read(METRICS_GOLDEN) {
-        Some(committed) => assert_eq!(
-            committed, rendered,
-            "trace metrics drifted (regenerate intentionally with CLAMSHELL_BLESS=1)"
-        ),
-        None => panic!("no committed trace metrics digests (bless with CLAMSHELL_BLESS=1)"),
-    }
+    golden::check(METRICS_GOLDEN, &golden::render_lines(lines));
 }
 
 #[test]

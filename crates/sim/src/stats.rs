@@ -55,24 +55,6 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-    }
-
     /// Checkpoint encoding: the accumulator's exact state as three
     /// integer words `(n, mean_bits, m2_bits)`, floats as IEEE-754 bit
     /// patterns. Shard manifests persist these because decimal float
@@ -235,65 +217,6 @@ mod tests {
         acc.push(3.5);
         assert_eq!(acc.mean(), 3.5);
         assert_eq!(acc.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn merge_zero_count_sides_never_nan_poison() {
-        // Without the zero-count guards the parallel-Welford update
-        // divides by a zero total weight in degenerate shapes; every
-        // combination of empty sides must stay finite and exact.
-        let mut populated = OnlineStats::new();
-        populated.push(4.0);
-        populated.push(6.0);
-        // empty-left: the populated side is copied bit-for-bit.
-        let mut left = OnlineStats::new();
-        left.merge(&populated);
-        assert_eq!(left.to_words(), populated.to_words());
-        // empty-right: identity, bit-for-bit.
-        let mut right = populated;
-        right.merge(&OnlineStats::new());
-        assert_eq!(right.to_words(), populated.to_words());
-        // empty-both: still the empty accumulator, mean/std well-defined.
-        let mut both = OnlineStats::new();
-        both.merge(&OnlineStats::new());
-        assert_eq!(both, OnlineStats::new());
-        assert_eq!(both.mean(), 0.0);
-        assert_eq!(both.std(), 0.0);
-        assert!(both.mean().is_finite() && both.std().is_finite());
     }
 
     #[test]

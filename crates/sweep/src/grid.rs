@@ -354,10 +354,10 @@ impl Grid {
     pub fn shape_fingerprint(&self) -> u64 {
         let mut h = clamshell_obs::Fnv::new();
         for word in [self.n_scenarios() as u64, self.n_variants() as u64, self.n_seeds() as u64] {
-            h.write(&word.to_le_bytes());
+            h.write_u64(word);
         }
         for &seed in &self.seeds {
-            h.write(&seed.to_le_bytes());
+            h.write_u64(seed);
         }
         for s in 0..self.n_scenarios() {
             let label: Arc<str> = match self.scenarios.get(s) {

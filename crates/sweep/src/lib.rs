@@ -92,7 +92,7 @@ pub mod progress;
 pub mod shard;
 pub mod threads;
 
-pub use aggregate::{Aggregator, Metric, MetricsAggregator, ObsAggregator};
+pub use aggregate::{Aggregator, Metric, MetricsAggregator};
 pub use grid::{Grid, GridError, JobMeta, Scenario};
 pub use pool::ExecStatus;
 pub use progress::{CancelToken, ProgressFn};

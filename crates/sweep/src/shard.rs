@@ -29,10 +29,10 @@
 //!
 //! ## Why the fold is sequential, not merge-based
 //!
-//! Parallel-Welford [`merge`](MetricsAggregator::merge) is
-//! mathematically exact but **not bit-identical** to pushing the same
-//! values one at a time (floating-point rounding differs). Per-shard
-//! aggregators merged at the end would therefore drift from the
+//! A parallel-Welford merge of two accumulators is mathematically
+//! exact but **not bit-identical** to pushing the same values one at a
+//! time (floating-point rounding differs). Per-shard aggregators merged
+//! at the end would therefore drift from the
 //! unsharded reference by a few ULPs — enough to break the workspace's
 //! byte-identity contract. The fold sidesteps this entirely: the
 //! pipeline delivers reports in index order, and every report is pushed
@@ -268,7 +268,7 @@ impl Header {
     fn chain_seed(&self) -> u64 {
         let mut h = Fnv::new();
         for word in [MANIFEST_VERSION, self.grid, self.shard_size, self.n_jobs, self.words] {
-            h.write(&word.to_le_bytes());
+            h.write_u64(word);
         }
         h.finish()
     }
@@ -278,10 +278,10 @@ impl Header {
 fn chain_fp(prev: u64, shard: u64, lo: u64, hi: u64, cells: &[u64]) -> u64 {
     let mut h = Fnv::new();
     for word in [prev, shard, lo, hi] {
-        h.write(&word.to_le_bytes());
+        h.write_u64(word);
     }
     for &c in cells {
-        h.write(&c.to_le_bytes());
+        h.write_u64(c);
     }
     h.finish()
 }

@@ -105,8 +105,6 @@ pub mod prelude {
     pub use clamshell_stream::{
         run_stream, run_stream_with, StreamCheckpoint, StreamConfig, StreamDigest,
     };
-    pub use clamshell_sweep::{
-        CancelToken, Grid, GridError, Metric, MetricsAggregator, ObsAggregator,
-    };
+    pub use clamshell_sweep::{CancelToken, Grid, GridError, Metric, MetricsAggregator};
     pub use clamshell_trace::{Archetype, ArchetypeMix, Population, WorkerProfile};
 }
