@@ -66,7 +66,7 @@ pub struct HistogramSnapshot {
     pub counts: Vec<u64>,
 }
 
-/// Owned, serializable registry state: what rides along on `RunReport`
+/// A run's counters, gauges and histograms: what rides along on `RunReport`
 /// inside an [`ObsReport`](crate::ObsReport).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct MetricsSnapshot {

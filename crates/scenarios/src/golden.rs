@@ -79,10 +79,12 @@ pub fn check(name: &str, rendered: &str) {
         panic!("no committed golden {name}.json (bless with CLAMSHELL_BLESS=1)");
     };
     if committed != rendered {
-        let first = committed.lines().zip(rendered.lines()).position(|(a, b)| a != b);
+        let (a, b) = (committed.lines().count(), rendered.lines().count());
+        let line = committed.lines().zip(rendered.lines()).position(|(x, y)| x != y);
         panic!(
-            "golden {name}.json drifted (first differing line index: {first:?}; \
-             regenerate intentionally with CLAMSHELL_BLESS=1)"
+            "golden {name}.json drifted at line {} ({a} committed lines, {b} now; \
+             regenerate intentionally with CLAMSHELL_BLESS=1)",
+            line.unwrap_or(a.min(b)) + 1
         );
     }
 }

@@ -68,7 +68,7 @@ fn trace_jsonl_bytes_are_pinned() {
 fn trace_metrics_are_pinned() {
     // One line per cell: the length and FNV-1a of its serialized
     // `ObsReport.metrics`. The trace goldens hash events only, so this
-    // is what pins the registry fold: every counter, gauge and
+    // is what pins the metrics: every counter, gauge and
     // histogram bucket, including the pool metrics.
     let lines: Vec<String> = trace::trace_suite(None)
         .iter()
