@@ -27,6 +27,10 @@
 //! `clamshell_obs::trace`); the recording draws no RNG values, so
 //! traced tables match untraced ones byte for byte.
 
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::path::PathBuf;
+use std::str::FromStr;
+
 use clamshell_bench::{extra_registry, registry, util::Opts};
 use clamshell_obs::json_str;
 
@@ -77,6 +81,53 @@ resumed vs uninterrupted, at any thread count):
                    re-runs (default megasweep.manifest.jsonl)
   --resume         restart from the manifest's last completed shard";
 
+/// Print `msg` on stderr and exit 2: how every bad argument ends.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Advance `i` past the flag at `args[*i]` and parse its value; a
+/// missing or unparsable value fails with "`<flag>` takes `<what>`".
+fn value<T: FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| fail(format_args!("{flag} takes {what}")))
+}
+
+/// `--seeds N`: zero seeds would leave every table without a row.
+fn seeds_value(args: &[String], i: &mut usize) -> u64 {
+    value::<NonZeroU64>(args, i, "a positive count").get()
+}
+
+/// Compose the shared flags after parsing, so order never matters:
+/// `--quick` provides defaults, an explicit `--seeds` overrides them
+/// either way around. Every experiment path resolves its thread count
+/// from `opts` (falling back to CLAMSHELL_THREADS, then available
+/// parallelism; `--threads 0` falls back the same way), so no
+/// process-global state is needed.
+fn compose(quick: bool, seeds: Option<u64>, threads: Option<usize>) -> Opts {
+    let mut opts = Opts::default();
+    if quick {
+        opts.scale = 0.25;
+        opts.seeds = vec![1];
+    }
+    if let Some(n) = seeds {
+        opts.seeds = (1..=n).collect();
+    }
+    opts.threads = threads;
+    opts
+}
+
+/// The run banner. The thread count goes to stderr, which keeps stdout
+/// byte-identical across thread counts.
+fn banner(opts: &Opts) {
+    println!("CLAMShell reproduction harness — seeds={:?} scale={}", opts.seeds, opts.scale);
+    eprintln!("sweep engine: {} worker thread(s)", opts.thread_count());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("serve") {
@@ -93,7 +144,7 @@ fn main() {
     let mut seeds: Option<u64> = None;
     let mut threads: Option<usize> = None;
     let mut scenarios: Vec<String> = Vec::new();
-    let mut trace: Option<std::path::PathBuf> = None;
+    let mut trace: Option<PathBuf> = None;
     let mut json = false;
     let mut picked: Vec<String> = Vec::new();
 
@@ -107,47 +158,18 @@ fn main() {
                 println!("{USAGE}");
                 return;
             }
-            "--seeds" => {
-                i += 1;
-                let n: u64 =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--seeds takes a count");
-                seeds = Some(n);
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--threads takes a count");
-                threads = Some(n);
-            }
-            "--scenario" => {
-                i += 1;
-                let name = args.get(i).expect("--scenario takes a name").clone();
-                scenarios.push(name);
-            }
-            "--trace" => {
-                i += 1;
-                let path = args.get(i).expect("--trace takes a path").clone();
-                trace = Some(std::path::PathBuf::from(path));
-            }
+            "--seeds" => seeds = Some(seeds_value(&args, &mut i)),
+            "--threads" => threads = Some(value(&args, &mut i, "a count")),
+            "--scenario" => scenarios.push(value(&args, &mut i, "a name")),
+            "--trace" => trace = Some(value(&args, &mut i, "a path")),
             "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    Some(other) => {
-                        eprintln!("unknown format: {other} (text|json)");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--format takes a value (text|json)");
-                        std::process::exit(2);
-                    }
+                json = match value::<String>(&args, &mut i, "a value (text|json)").as_str() {
+                    "text" => false,
+                    "json" => true,
+                    other => fail(format_args!("unknown format: {other} (text|json)")),
                 }
             }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => fail(format_args!("unknown flag: {other}")),
             exp => picked.push(exp.to_string()),
         }
         i += 1;
@@ -156,36 +178,12 @@ fn main() {
     // The --all transcript is the recorded EXPERIMENTS.md baseline;
     // machine formats and traces must not ride on it.
     if run_all && json {
-        eprintln!("--format json is not supported with --all (use --scenario or --list)");
-        std::process::exit(2);
+        fail("--format json is not supported with --all (use --scenario or --list)");
     }
     if trace.is_some() && scenarios.is_empty() {
-        eprintln!("--trace requires --scenario");
-        std::process::exit(2);
+        fail("--trace requires --scenario");
     }
-
-    // Compose flags after parsing so order never matters: `--quick`
-    // provides defaults, explicit `--seeds` overrides them either way
-    // around.
-    let mut opts = Opts::default();
-    if quick {
-        opts.scale = 0.25;
-        opts.seeds = vec![1];
-    }
-    if let Some(n) = seeds {
-        opts.seeds = (1..=n).collect();
-    }
-    // Every experiment path resolves its thread count from `opts`
-    // (falling back to CLAMSHELL_THREADS, then available parallelism),
-    // so no process-global state is needed.
-    opts.threads = threads;
-
-    // Stderr line in the banner keeps stdout byte-identical across
-    // thread counts.
-    let banner = |opts: &Opts| {
-        println!("CLAMShell reproduction harness — seeds={:?} scale={}", opts.seeds, opts.scale);
-        eprintln!("sweep engine: {} worker thread(s)", opts.thread_count());
-    };
+    let opts = compose(quick, seeds, threads);
 
     // Scenario mode: run the named adversity scenario(s) against the
     // benign baseline and exit. `--scenario list` prints the catalog.
@@ -207,8 +205,7 @@ fn main() {
             trace.as_deref(),
         );
         if let Err(msg) = mode {
-            eprintln!("{msg}; try --scenario list");
-            std::process::exit(2);
+            fail(format_args!("{msg}; try --scenario list"));
         }
         return;
     }
@@ -266,8 +263,7 @@ fn main() {
         }
     }
     if ran == 0 {
-        eprintln!("no experiment matched {picked:?}; try --list");
-        std::process::exit(2);
+        fail(format_args!("no experiment matched {picked:?}; try --list"));
     }
 }
 
@@ -290,62 +286,26 @@ fn serve_cli(args: &[String]) {
             }
             "--quick" => quick = true,
             "--rate" => {
-                i += 1;
-                let r: f64 = args.get(i).and_then(|s| s.parse().ok()).expect("--rate takes a rate");
-                assert!(r.is_finite() && r > 0.0, "--rate must be positive");
-                sa.rate = r;
+                sa.rate = value(args, &mut i, "a rate");
+                if !(sa.rate.is_finite() && sa.rate > 0.0) {
+                    fail("--rate must be positive");
+                }
             }
-            "--tasks" => {
-                i += 1;
-                let n: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--tasks takes a count");
-                sa.tasks = n;
-            }
+            "--tasks" => sa.tasks = value(args, &mut i, "a count"),
             "--checkpoint-every" => {
-                i += 1;
-                let k: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--checkpoint-every takes a count");
-                sa.checkpoint_every = k;
+                sa.checkpoint_every = value::<NonZeroUsize>(args, &mut i, "a positive count").get()
             }
-            "--scenario" => {
-                i += 1;
-                sa.scenario = Some(args.get(i).expect("--scenario takes a name").clone());
-            }
-            "--seeds" => {
-                i += 1;
-                let n: u64 =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--seeds takes a count");
-                seeds = Some(n);
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--threads takes a count");
-                threads = Some(n);
-            }
-            other => {
-                eprintln!("unknown serve argument: {other}");
-                std::process::exit(2);
-            }
+            "--scenario" => sa.scenario = Some(value(args, &mut i, "a name")),
+            "--seeds" => seeds = Some(seeds_value(args, &mut i)),
+            "--threads" => threads = Some(value(args, &mut i, "a count")),
+            other => fail(format_args!("unknown serve argument: {other}")),
         }
         i += 1;
     }
-    let mut opts = Opts::default();
-    if quick {
-        opts.scale = 0.25;
-        opts.seeds = vec![1];
-    }
-    if let Some(n) = seeds {
-        opts.seeds = (1..=n).collect();
-    }
-    opts.threads = threads;
-    println!("CLAMShell reproduction harness — seeds={:?} scale={}", opts.seeds, opts.scale);
-    eprintln!("sweep engine: {} worker thread(s)", opts.thread_count());
+    let opts = compose(quick, seeds, threads);
+    banner(&opts);
     if let Err(msg) = serve(&opts, &sa) {
-        eprintln!("{msg}; try --scenario list");
-        std::process::exit(2);
+        fail(format_args!("{msg}; try --scenario list"));
     }
 }
 
@@ -368,46 +328,17 @@ fn megasweep_cli(args: &[String]) {
             }
             "--quick" => quick = true,
             "--resume" => ma.resume = true,
-            "--cells" => {
-                i += 1;
-                let n: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--cells takes a count");
-                ma.cells = n;
-            }
-            "--shard-size" => {
-                i += 1;
-                let s: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--shard-size takes a count");
-                ma.shard_size = s;
-            }
-            "--manifest" => {
-                i += 1;
-                let path = args.get(i).expect("--manifest takes a path").clone();
-                ma.manifest = std::path::PathBuf::from(path);
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize =
-                    args.get(i).and_then(|s| s.parse().ok()).expect("--threads takes a count");
-                threads = Some(n);
-            }
-            other => {
-                eprintln!("unknown megasweep argument: {other}");
-                std::process::exit(2);
-            }
+            "--cells" => ma.cells = value(args, &mut i, "a count"),
+            "--shard-size" => ma.shard_size = value(args, &mut i, "a count"),
+            "--manifest" => ma.manifest = value(args, &mut i, "a path"),
+            "--threads" => threads = Some(value(args, &mut i, "a count")),
+            other => fail(format_args!("unknown megasweep argument: {other}")),
         }
         i += 1;
     }
-    let mut opts = Opts::default();
-    if quick {
-        opts.scale = 0.25;
-        opts.seeds = vec![1];
-    }
-    opts.threads = threads;
-    println!("CLAMShell reproduction harness — seeds={:?} scale={}", opts.seeds, opts.scale);
-    eprintln!("sweep engine: {} worker thread(s)", opts.thread_count());
+    let opts = compose(quick, None, threads);
+    banner(&opts);
     if let Err(msg) = megasweep(&opts, &ma) {
-        eprintln!("{msg}");
-        std::process::exit(2);
+        fail(msg);
     }
 }

@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 /// session of tasks, and move on. Both effects — slow trickle-in and
 /// short sessions — are what make Base-NR slow and enormously variable
 /// in the paper (§6.6: 475 s batch std vs CLAMShell's 3.1 s).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenMarketConfig {
     /// Mean worker arrivals per minute once the posting is live.
     pub arrival_rate_per_min: f64,

@@ -10,12 +10,11 @@
 use crate::config::MaintenanceConfig;
 use clamshell_crowd::WorkerId;
 use clamshell_sim::stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 /// Empirical latency bookkeeping for one worker. All latencies are
 /// **seconds per label** (task latency divided by `Ng`), matching the
 /// per-label thresholds of Figures 5, 7 and 8.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// Per-label latency of *completed* tasks (the `l_{s,Tc}` sample).
     pub completed: OnlineStats,

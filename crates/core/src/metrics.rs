@@ -1,13 +1,13 @@
 //! Run reports: everything the figures consume.
 
 use clamshell_crowd::{CostLedger, WorkerId};
-use clamshell_obs::ObsReport;
+use clamshell_obs::{Fnv, ObsReport};
 use clamshell_sim::stats::Summary;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One completed task, as logged for Figures 3, 5, 10, 13.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct TaskRecord {
     /// Task index within the run.
     pub task: u32,
@@ -33,6 +33,23 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
+    /// Hash the row's identity words into `h`, each field as one
+    /// little-endian `u64`. The golden suite's `CompactReport`
+    /// fingerprint and the stream digest both fold rows through this, so
+    /// any behavioural drift flips both.
+    #[inline]
+    pub fn digest_into(&self, h: &mut Fnv) {
+        h.write_u64(self.task as u64);
+        h.write_u64(self.batch as u64);
+        h.write_u64(self.ng as u64);
+        h.write_u64(self.created.as_millis());
+        h.write_u64(self.completed.as_millis());
+        h.write_u64(self.winner.0 as u64);
+        h.write_u64(self.winner_span.as_millis());
+        h.write_u64(self.winner_age as u64);
+        h.write_u64(self.correct as u64);
+    }
+
     /// Task latency from availability to completion, seconds.
     pub fn latency_secs(&self) -> f64 {
         self.completed.since(self.created).as_secs_f64()
@@ -45,7 +62,7 @@ impl TaskRecord {
 }
 
 /// One assignment, as logged for Figure 13's Gantt view.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct AssignmentRecord {
     /// Task index.
     pub task: u32,
@@ -61,8 +78,21 @@ pub struct AssignmentRecord {
     pub terminated: bool,
 }
 
+impl AssignmentRecord {
+    /// Hash the row's identity words into `h` (see
+    /// [`TaskRecord::digest_into`]); `batch` follows from `task`.
+    #[inline]
+    pub fn digest_into(&self, h: &mut Fnv) {
+        h.write_u64(self.task as u64);
+        h.write_u64(self.worker.0 as u64);
+        h.write_u64(self.start.as_millis());
+        h.write_u64(self.end.as_millis());
+        h.write_u64(self.terminated as u64);
+    }
+}
+
 /// Per-batch aggregates (Figures 6, 9).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BatchStats {
     /// Batch index.
     pub index: usize,
@@ -84,6 +114,18 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
+    /// Hash the row's integer words into `h` (see
+    /// [`TaskRecord::digest_into`]); the float aggregates derive from the
+    /// task log.
+    #[inline]
+    pub fn digest_into(&self, h: &mut Fnv) {
+        h.write_u64(self.index as u64);
+        h.write_u64(self.start.as_millis());
+        h.write_u64(self.end.as_millis());
+        h.write_u64(self.tasks as u64);
+        h.write_u64(self.evicted as u64);
+    }
+
     /// Batch makespan in seconds.
     pub fn makespan_secs(&self) -> f64 {
         self.end.since(self.start).as_secs_f64()
@@ -91,7 +133,7 @@ impl BatchStats {
 }
 
 /// The full output of a labeling run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunReport {
     /// Per-task log.
     pub tasks: Vec<TaskRecord>,

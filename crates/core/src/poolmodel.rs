@@ -15,10 +15,8 @@
 //! simulated mean-pool-latency trajectories (Figure 6) and the integration
 //! tests assert agreement.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the two-part population split at `PMℓ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolModel {
     /// Probability a fresh draw is *slow* (mean latency above `PMℓ`).
     pub q: f64,

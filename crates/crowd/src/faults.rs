@@ -14,14 +14,13 @@
 
 use clamshell_sim::dist::{LogNormal, Sample};
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Heavy-tailed latency inflation: independently of the worker, each
 /// sampled assignment duration is multiplied by a log-normal factor with
 /// probability `prob`. Models platform-side slowdowns (page loads, task
 /// queue hiccups) that fatten the latency tail beyond what any worker
 /// profile produces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyInflation {
     /// Probability an assignment's duration is inflated.
     pub prob: f64,
@@ -42,7 +41,7 @@ impl LatencyInflation {
 
 /// The platform-level fault set handed to
 /// [`SimPlatform::with_faults`](crate::SimPlatform::with_faults).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CrowdFaults {
     /// Archetype overlay applied per recruited worker.
     pub archetypes: Option<clamshell_trace::ArchetypeMix>,

@@ -7,7 +7,7 @@
 //! deterministic across summation orders.
 
 use clamshell_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Micro-dollars (1e-6 USD) as an integer, so ledgers add associatively.
 pub type MicroUsd = u64;
@@ -19,7 +19,7 @@ pub fn usd(d: f64) -> MicroUsd {
 }
 
 /// Cost ledger with the paper's three payment buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CostLedger {
     /// Wages for waiting in the retainer pool ($0.05/min in §6.1).
     pub wait_micro: MicroUsd,

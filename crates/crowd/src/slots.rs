@@ -40,12 +40,11 @@
 
 use crate::platform::WorkerId;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Order in which idle members are handed new work when a batch opens or
 /// coverage is lost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckoutStrategy {
     /// "Even wear": longest-idle member first. Every member keeps cycling
     /// through work, so wait-pay accrual and practice effects spread
@@ -62,7 +61,7 @@ pub enum CheckoutStrategy {
 /// mechanism inert: no floor (`min_size = None` ⇒ replenish to
 /// capacity), FIFO checkout, no idle timeout, generations off — runs are
 /// byte-identical to the pre-lifecycle pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolConfig {
     /// Replenishment floor. Background recruitment keeps the pool at this
     /// size; demand surges may promote reserve workers up to `capacity`.
@@ -81,7 +80,7 @@ pub struct PoolConfig {
 }
 
 /// The state of one pool member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {
     /// Idle in the pool since the given time (accruing wait pay).
     Waiting {

@@ -12,13 +12,12 @@
 use super::Dataset;
 use crate::linalg::Matrix;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Image side length (28 → 784 features, matching MNIST).
 pub const SIDE: usize = 28;
 
 /// Configuration for the digits generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigitsConfig {
     /// Number of images.
     pub n_samples: usize,

@@ -19,10 +19,9 @@
 use super::Dataset;
 use crate::linalg::Matrix;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`make_classification`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenConfig {
     /// Number of items to generate.
     pub n_samples: usize,

@@ -25,10 +25,8 @@
 //! IEEE multiplication is commutative, so `dot(w, row)` and `dot(row, w)`
 //! give the same bits.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

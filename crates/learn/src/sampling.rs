@@ -10,11 +10,10 @@
 use crate::linalg::Matrix;
 use crate::model::Classifier;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a model's predictive distribution is turned into an uncertainty
 /// score (higher = more uncertain = more valuable to label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uncertainty {
     /// `1 − max_c p(c)` — the paper's "uncertainty sampling" default.
     LeastConfidence,

@@ -4,10 +4,9 @@
 use crate::linalg::{dot, dot4, softmax_into, Matrix};
 use crate::model::{Classifier, Example, SgdConfig};
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Multinomial logistic regression with `n_classes` linear heads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxRegression {
     config: SgdConfig,
     n_classes: u32,

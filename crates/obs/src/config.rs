@@ -1,7 +1,5 @@
 //! The observability switch carried on `RunConfig`.
 
-use serde::{Deserialize, Serialize};
-
 /// Default flight-recorder capacity: large enough to hold every event of
 /// a `--quick` scenario run, small enough that an enabled long run stays
 /// bounded-memory (older events are dropped and counted, not lost
@@ -12,7 +10,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 /// allocates no observer, records nothing, and — critically for the
 /// reproducibility contract — draws zero extra RNG values, so enabling
 /// or disabling observability can never perturb a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Master switch for the registry + flight recorder.
     pub enabled: bool,

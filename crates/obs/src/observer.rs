@@ -4,7 +4,7 @@
 use std::io::Write;
 
 use clamshell_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::ObsConfig;
 use crate::name::{names, MetricName};
@@ -144,7 +144,7 @@ impl RunObserver {
 /// The serializable observability report attached to `RunReport` when
 /// obs is enabled (`None` otherwise, keeping disabled reports
 /// byte-identical to pre-obs builds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObsReport {
     /// Trace schema version the events were recorded under.
     pub schema: u32,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bucket upper bounds (inclusive) for assignment-span latencies, in
 /// simulated milliseconds. One extra overflow bucket is appended.
@@ -60,7 +60,7 @@ impl Histogram {
 }
 
 /// Owned, serializable histogram state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct HistogramSnapshot {
     pub bounds: Vec<u64>,
     pub counts: Vec<u64>,
@@ -68,7 +68,7 @@ pub struct HistogramSnapshot {
 
 /// A run's counters, gauges and histograms: what rides along on `RunReport`
 /// inside an [`ObsReport`](crate::ObsReport).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,

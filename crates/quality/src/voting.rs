@@ -1,9 +1,7 @@
 //! Redundancy-based vote aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// One worker's answer for one record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vote {
     /// Identifier of the voting worker (opaque here; `WorkerId.0` upstream).
     pub worker: u32,

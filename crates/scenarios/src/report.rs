@@ -10,10 +10,10 @@
 
 use clamshell_core::metrics::RunReport;
 use clamshell_obs::Fnv;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scalar digest of one `(scenario, seed)` run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CompactReport {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -49,32 +49,14 @@ impl CompactReport {
     /// Digest `report` for `(scenario, seed)`.
     pub fn of(scenario: &str, seed: u64, report: &RunReport) -> Self {
         let mut h = Fnv::new();
-        // Every field is hashed as a little-endian `u64` word.
-        let mut word = |w: u64| h.write_u64(w);
         for t in &report.tasks {
-            word(t.task as u64);
-            word(t.batch as u64);
-            word(t.ng as u64);
-            word(t.created.as_millis());
-            word(t.completed.as_millis());
-            word(t.winner.0 as u64);
-            word(t.winner_span.as_millis());
-            word(t.winner_age as u64);
-            word(t.correct as u64);
+            t.digest_into(&mut h);
         }
         for a in &report.assignments {
-            word(a.task as u64);
-            word(a.worker.0 as u64);
-            word(a.start.as_millis());
-            word(a.end.as_millis());
-            word(a.terminated as u64);
+            a.digest_into(&mut h);
         }
         for b in &report.batches {
-            word(b.index as u64);
-            word(b.start.as_millis());
-            word(b.end.as_millis());
-            word(b.tasks as u64);
-            word(b.evicted as u64);
+            b.digest_into(&mut h);
         }
         CompactReport {
             scenario: scenario.to_string(),

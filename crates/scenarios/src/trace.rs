@@ -18,7 +18,7 @@ use crate::golden;
 use crate::suite;
 use clamshell_core::RunConfig;
 use clamshell_obs::{fingerprint_hex, MetricsSnapshot, ObsConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Golden-file key under `crates/scenarios/golden/`.
 pub const GOLDEN_NAME: &str = "trace_fingerprints";
@@ -28,7 +28,7 @@ pub const GOLDEN_NAME: &str = "trace_fingerprints";
 pub const TRACE_RING: usize = 1 << 16;
 
 /// Scalar digest of one instrumented `(scenario, seed)` trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceRow {
     /// Scenario name (catalog key).
     pub scenario: String,

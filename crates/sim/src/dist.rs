@@ -10,7 +10,6 @@
 //! [`crate::rng::Rng`].
 
 use crate::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over `f64` that can be sampled with an [`Rng`].
 pub trait Sample {
@@ -19,7 +18,7 @@ pub trait Sample {
 }
 
 /// Normal (Gaussian) distribution `N(mean, std²)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     std: f64,
@@ -55,7 +54,7 @@ impl Sample for Normal {
 /// This is the canonical heavy-tailed model for crowd-worker latencies; the
 /// paper's medical-deployment statistics (median minutes, 90th percentiles
 /// of hours) are matched by `clamshell-trace` with log-normal populations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -116,7 +115,7 @@ impl Sample for LogNormal {
 /// Normal distribution truncated below at `floor` (resampling would bias
 /// the mean badly for aggressive floors, so we clamp instead — matching
 /// how the paper's simulator must handle negative latency draws).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncNormal {
     inner: Normal,
     floor: f64,
@@ -147,7 +146,7 @@ impl Sample for TruncNormal {
 }
 
 /// Exponential distribution with the given rate `λ` (mean `1/λ`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     rate: f64,
 }
@@ -181,7 +180,7 @@ impl Sample for Exponential {
 ///
 /// Sampled via Cheng's rejection algorithms (BB/BC), valid for all
 /// `alpha, beta > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Beta {
     alpha: f64,
     beta: f64,

@@ -7,10 +7,9 @@
 //! needs percentile summaries and empirical CDFs (Figures 2, 8, 9, 11, 12).
 
 use crate::dist::standard_normal_cdf;
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -97,7 +96,7 @@ impl OnlineStats {
 }
 
 /// A batch summary of a sample: count, mean, std, min/max, percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

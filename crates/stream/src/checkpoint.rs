@@ -8,17 +8,17 @@
 
 use clamshell_core::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use clamshell_obs::Fnv;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Three running FNV-1a fingerprints over the task, assignment, and
 /// batch logs of a run — one hasher per table, so rows can be folded
 /// incrementally (as batches complete or retire) and still reproduce
 /// the digest of the complete batched report.
 ///
-/// Per-row word sequences mirror the golden suite's `CompactReport`
-/// fingerprint: every field that identifies the row's scheduling outcome
-/// is hashed as a little-endian `u64`, so any behavioural drift — even
-/// one that leaves all aggregates untouched — flips a digest.
+/// Each row is hashed by its own `digest_into`, the same word sequence
+/// the golden suite's `CompactReport` fingerprint folds, so any
+/// behavioural drift — even one that leaves all aggregates untouched —
+/// flips a digest.
 #[derive(Debug, Clone)]
 pub struct StreamDigest {
     tasks: Fnv,
@@ -40,36 +40,17 @@ impl StreamDigest {
 
     /// Fold one task record.
     pub fn fold_task(&mut self, t: &TaskRecord) {
-        let h = &mut self.tasks;
-        h.write_u64(t.task as u64);
-        h.write_u64(t.batch as u64);
-        h.write_u64(t.ng as u64);
-        h.write_u64(t.created.as_millis());
-        h.write_u64(t.completed.as_millis());
-        h.write_u64(t.winner.0 as u64);
-        h.write_u64(t.winner_span.as_millis());
-        h.write_u64(t.winner_age as u64);
-        h.write_u64(t.correct as u64);
+        t.digest_into(&mut self.tasks);
     }
 
     /// Fold one assignment record.
     pub fn fold_assignment(&mut self, a: &AssignmentRecord) {
-        let h = &mut self.assignments;
-        h.write_u64(a.task as u64);
-        h.write_u64(a.worker.0 as u64);
-        h.write_u64(a.start.as_millis());
-        h.write_u64(a.end.as_millis());
-        h.write_u64(a.terminated as u64);
+        a.digest_into(&mut self.assignments);
     }
 
     /// Fold one batch-statistics row.
     pub fn fold_batch(&mut self, b: &BatchStats) {
-        let h = &mut self.batches;
-        h.write_u64(b.index as u64);
-        h.write_u64(b.start.as_millis());
-        h.write_u64(b.end.as_millis());
-        h.write_u64(b.tasks as u64);
-        h.write_u64(b.evicted as u64);
+        b.digest_into(&mut self.batches);
     }
 
     /// The three fingerprints `(tasks, assignments, batches)` as of the
@@ -103,7 +84,7 @@ impl StreamDigest {
 /// thread counts, and retirement modes. `arrived`/`backlog` come from
 /// the open-loop arrival schedule and are the only rate-dependent
 /// fields; everything else is a pure function of `(RunConfig, seed)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StreamCheckpoint {
     /// Snapshot sequence number, from 0.
     pub seq: u64,

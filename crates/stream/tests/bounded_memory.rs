@@ -23,52 +23,12 @@ use clamshell_core::{AdversityConfig, ChurnFault, RunConfig};
 use clamshell_stream::source;
 use clamshell_stream::{run_stream, StreamConfig};
 use clamshell_trace::Population;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-struct LiveAlloc;
+#[path = "../../../tests/support/live_alloc.rs"]
+mod live_alloc;
 
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn on_alloc(size: u64) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: a thin pass-through to the System allocator — every method
-// forwards its arguments unchanged, so System's layout/provenance
-// contract is upheld verbatim; the counters are side-effect-only.
-unsafe impl GlobalAlloc for LiveAlloc {
-    // SAFETY: delegates to System.alloc with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            on_alloc(layout.size() as u64);
-        }
-        p
-    }
-
-    // SAFETY: delegates to System.dealloc with the caller's ptr/layout.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-    }
-
-    // SAFETY: delegates to System.realloc with the caller's arguments.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: caller upholds GlobalAlloc's contract for the arguments.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-            on_alloc(new_size as u64);
-        }
-        p
-    }
-}
+use live_alloc::{peak_growth, LiveAlloc};
 
 #[global_allocator]
 static GLOBAL: LiveAlloc = LiveAlloc;
@@ -80,15 +40,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Run `f` and return the peak live-byte *growth* it caused over the
-/// live bytes at entry.
-fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
 }
 
 /// A lean service cell: single-record tasks, quorum 1, no straggler

@@ -25,53 +25,14 @@ use clamshell_core::RunConfig;
 use clamshell_sweep::shard::{run_sharded, ShardOptions};
 use clamshell_sweep::{CancelToken, Grid, Metric, MetricsAggregator};
 use clamshell_trace::Population;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-struct LiveAlloc;
+#[path = "../../../tests/support/live_alloc.rs"]
+mod live_alloc;
 
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn on_alloc(size: u64) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: a thin pass-through to the System allocator — every method
-// forwards its arguments unchanged, so System's layout/provenance
-// contract is upheld verbatim; the counters are side-effect-only.
-unsafe impl GlobalAlloc for LiveAlloc {
-    // SAFETY: delegates to System.alloc with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            on_alloc(layout.size() as u64);
-        }
-        p
-    }
-
-    // SAFETY: delegates to System.dealloc with the caller's ptr/layout.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-    }
-
-    // SAFETY: delegates to System.realloc with the caller's arguments.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: caller upholds GlobalAlloc's contract for the arguments.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-            on_alloc(new_size as u64);
-        }
-        p
-    }
-}
+use live_alloc::{peak_growth, LiveAlloc};
 
 #[global_allocator]
 static GLOBAL: LiveAlloc = LiveAlloc;
@@ -112,8 +73,6 @@ fn sweep_peak(cells: usize, shard_size: usize, threads: usize, stall: bool) -> u
         .join(format!("clamshell_shard_memory_{cells}_{shard_size}_{threads}.jsonl"));
     let opts =
         ShardOptions { shard_size, manifest: path.clone(), resume: false, threads: Some(threads) };
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
     // Pause the fold every 32 cells, so the helpers outrun the calling
     // thread: the worst case for reports waiting to be folded.
     let mut pause = |done: usize, _| {
@@ -121,8 +80,9 @@ fn sweep_peak(cells: usize, shard_size: usize, threads: usize, stall: bool) -> u
             std::thread::sleep(Duration::from_millis(4));
         }
     };
-    let out = run_sharded(&g, &mut agg, &opts, &CancelToken::new(), Some(&mut pause)).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+    let (out, peak) = peak_growth(|| {
+        run_sharded(&g, &mut agg, &opts, &CancelToken::new(), Some(&mut pause)).unwrap()
+    });
     assert!(out.is_complete(), "{cells} cells at shard size {shard_size}: {out:?}");
     let _ = std::fs::remove_file(&path);
     peak
@@ -133,10 +93,7 @@ fn sweep_peak(cells: usize, shard_size: usize, threads: usize, stall: bool) -> u
 fn streaming_peak(cells: usize, threads: usize) -> u64 {
     let g = grid(cells, false, std::thread::current().id());
     let mut agg = MetricsAggregator::new(g.n_scenarios(), Metric::standard());
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let status = g.run_streaming(Some(threads), &mut agg);
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+    let (status, peak) = peak_growth(|| g.run_streaming(Some(threads), &mut agg));
     assert!(status.is_complete(), "{cells} cells at {threads} threads: {status:?}");
     peak
 }

@@ -17,10 +17,9 @@
 
 use crate::profile::WorkerProfile;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A behavioural overlay replacing a worker's generative profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Archetype {
     /// Clicks through tasks near-instantly with chance-level accuracy:
     /// the classic random spammer.
@@ -74,7 +73,7 @@ impl Archetype {
 /// Per-worker probabilities of each archetype replacing the sampled
 /// base profile. The remainder (`1 − spammer − adversarial − sleepy`)
 /// keeps the benign profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchetypeMix {
     /// Fraction of recruits who are spammers.
     pub spammer: f64,
