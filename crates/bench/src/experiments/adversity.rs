@@ -93,12 +93,6 @@ pub fn adversity(opts: &Opts) {
     );
 }
 
-/// One scenario (plus the benign baseline) — `repro --scenario <name>`.
-/// Returns `false` if the name is unknown.
-pub fn single_scenario(opts: &Opts, name: &str) -> bool {
-    scenario_mode(opts, std::slice::from_ref(&name.to_string()), false, None).is_ok()
-}
-
 /// The baseline-plus-scenario def list `--scenario <name>` runs.
 fn defs_for(def: &'static ScenarioDef) -> Vec<&'static ScenarioDef> {
     if def.name == "benign" {
@@ -208,8 +202,10 @@ mod tests {
     #[test]
     fn single_scenario_rejects_unknown_names() {
         let opts = Opts { seeds: vec![1], scale: 0.05, ..Default::default() };
-        assert!(!single_scenario(&opts, "definitely-not-a-scenario"));
-        assert!(single_scenario(&opts, "churn"));
+        let names = |name: &str| vec![name.to_string()];
+        let err = scenario_mode(&opts, &names("definitely-not-a-scenario"), false, None);
+        assert_eq!(err, Err("unknown scenario: definitely-not-a-scenario".to_string()));
+        assert_eq!(scenario_mode(&opts, &names("churn"), false, None), Ok(()));
     }
 
     #[test]

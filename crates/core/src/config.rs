@@ -235,12 +235,6 @@ impl RunConfig {
         self.pool = pool;
         self
     }
-
-    /// Convenience: enable observability with the default ring capacity.
-    pub fn with_obs(mut self) -> Self {
-        self.obs = ObsConfig::on();
-        self
-    }
 }
 
 #[cfg(test)]

@@ -99,15 +99,6 @@ impl WorkerStats {
         self.quality_total += total;
     }
 
-    /// Agreement-with-consensus rate, `None` until any signal exists.
-    pub fn agreement_rate(&self) -> Option<f64> {
-        if self.quality_total == 0 {
-            None
-        } else {
-            Some(self.quality_matched as f64 / self.quality_total as f64)
-        }
-    }
-
     /// One-sided test: is this worker's agreement rate significantly
     /// *below* `min_agreement` at level `alpha`? Normal approximation to
     /// the binomial; requires at least `min_n` compared records.
@@ -359,7 +350,6 @@ mod tests {
         assert!(!s.agreement_below(0.8, 0.05, 5));
         s.record_quality(1, 18);
         assert!(s.agreement_below(0.8, 0.05, 5));
-        assert!((s.agreement_rate().unwrap() - 0.05).abs() < 1e-12);
     }
 
     #[test]

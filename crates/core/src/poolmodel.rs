@@ -53,25 +53,6 @@ impl PoolModel {
     pub fn initial(&self) -> f64 {
         self.expected_mpl(0)
     }
-
-    /// Number of maintenance steps until the expected MPL is within
-    /// `eps` of the asymptote.
-    pub fn steps_to_converge(&self, eps: f64) -> u32 {
-        assert!(eps > 0.0);
-        if self.q == 0.0 || self.mu_s == self.mu_f {
-            return 0;
-        }
-        if self.q >= 1.0 {
-            return u32::MAX;
-        }
-        // q^{n+1} (μs − μf) <= eps  ⇒  n+1 >= log(eps/(μs−μf)) / log q
-        let ratio: f64 = eps / (self.mu_s - self.mu_f);
-        if ratio >= 1.0 {
-            return 0;
-        }
-        let n = (ratio.ln() / self.q.ln()).ceil() as u32;
-        n.saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -105,21 +86,9 @@ mod tests {
         // q = 0: already all fast.
         let m = PoolModel::new(0.0, 2.0, 10.0);
         assert_eq!(m.expected_mpl(0), 2.0);
-        assert_eq!(m.steps_to_converge(0.1), 0);
         // q = 1: never converges.
         let m = PoolModel::new(1.0, 2.0, 10.0);
         assert_eq!(m.expected_mpl(100), 10.0);
-        assert_eq!(m.steps_to_converge(0.1), u32::MAX);
-    }
-
-    #[test]
-    fn steps_to_converge_is_tight() {
-        let m = PoolModel::new(0.3, 2.0, 12.0);
-        let n = m.steps_to_converge(0.05);
-        assert!(m.expected_mpl(n) - m.limit() <= 0.05 + 1e-12);
-        if n > 0 {
-            assert!(m.expected_mpl(n - 1) - m.limit() > 0.05);
-        }
     }
 
     #[test]

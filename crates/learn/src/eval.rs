@@ -73,32 +73,6 @@ impl LearningCurve {
         self.points.iter().find(|p| p.test_accuracy >= threshold).map(|p| p.time_secs)
     }
 
-    /// First label count at which accuracy reached `threshold`.
-    pub fn labels_to_accuracy(&self, threshold: f64) -> Option<usize> {
-        self.points.iter().find(|p| p.test_accuracy >= threshold).map(|p| p.labels_acquired)
-    }
-
-    /// Area under the (labels, accuracy) curve, normalized by the label
-    /// span — a scalar "how fast did it learn" score used to compare
-    /// AL/PL/HL runs.
-    pub fn auc_by_labels(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.final_accuracy();
-        }
-        let mut area = 0.0;
-        for w in self.points.windows(2) {
-            let dx = (w[1].labels_acquired - w[0].labels_acquired) as f64;
-            area += dx * (w[0].test_accuracy + w[1].test_accuracy) / 2.0;
-        }
-        let span =
-            (self.points.last().unwrap().labels_acquired - self.points[0].labels_acquired) as f64;
-        if span > 0.0 {
-            area / span
-        } else {
-            self.final_accuracy()
-        }
-    }
-
     /// Accuracy at (or interpolated just before) a given simulated time.
     pub fn accuracy_at_time(&self, time_secs: f64) -> f64 {
         let mut acc = 0.0;
@@ -148,17 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn curve_thresholds_and_auc() {
+    fn curve_thresholds() {
         let mut c = LearningCurve::new();
         c.push(0.0, 0, 0.5);
         c.push(10.0, 50, 0.7);
         c.push(20.0, 100, 0.9);
         assert_eq!(c.time_to_accuracy(0.7), Some(10.0));
-        assert_eq!(c.labels_to_accuracy(0.9), Some(100));
         assert_eq!(c.time_to_accuracy(0.95), None);
         assert_eq!(c.final_accuracy(), 0.9);
-        // Trapezoid: (50*(0.5+0.7)/2 + 50*(0.7+0.9)/2) / 100 = 0.7
-        assert!((c.auc_by_labels() - 0.7).abs() < 1e-12);
     }
 
     #[test]

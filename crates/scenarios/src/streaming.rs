@@ -24,8 +24,9 @@
 use crate::catalog;
 use crate::golden;
 use crate::suite;
-use clamshell_stream::cells::run_jobs_streamed;
-use clamshell_stream::{StreamCheckpoint, StreamConfig};
+use clamshell_stream::{run_stream_with, StreamCheckpoint, StreamConfig};
+use clamshell_sweep::job::Job;
+use clamshell_sweep::pool;
 
 /// Golden-file key under `crates/scenarios/golden/`.
 pub const GOLDEN_NAME: &str = "stream_checkpoints";
@@ -62,19 +63,22 @@ pub struct StreamCell {
 pub fn checkpoint_suite(threads: Option<usize>) -> Vec<StreamCell> {
     let g = catalog::grid(suite::base_config(), suite::population(), suite::specs(), suite::BATCH)
         .seeds(&suite::SEEDS);
-    let jobs = g.jobs();
-    let outcomes =
-        run_jobs_streamed(jobs, clamshell_sweep::threads::resolve(threads), &stream_config());
-    let names: Vec<&'static str> = catalog::catalog().iter().map(|s| s.name).collect();
-    outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, checkpoints))| StreamCell {
-            scenario: names[i / suite::SEEDS.len()],
-            seed: suite::SEEDS[i % suite::SEEDS.len()],
-            checkpoints,
-        })
-        .collect()
+    let names = catalog::names();
+    let stream = stream_config();
+    // `pool::map` returns results in job order at any thread count.
+    pool::map(g.jobs(), clamshell_sweep::threads::resolve(threads), |_, _, job: Job| {
+        let mut checkpoints = Vec::new();
+        run_stream_with(
+            job.cfg,
+            (*job.population).clone(),
+            job.specs.iter().cloned(),
+            job.specs.len(),
+            job.batch_size,
+            &stream,
+            |c| checkpoints.push(c.clone()),
+        );
+        StreamCell { scenario: names[job.scenario], seed: job.seed, checkpoints }
+    })
 }
 
 /// Render suite cells as the committed file format: a JSON array with

@@ -161,17 +161,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Time of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self.near.last() {
-            Some(e) => Some(SimTime::from_millis(e.at)),
-            // The near list is empty: the minimum (if any) is somewhere
-            // in the unordered far list. O(n), but only reachable
-            // between a drain and the next pop's rebuild.
-            None => self.far.iter().map(|e| e.at).min().map(SimTime::from_millis),
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.near.len() + self.far.len()
@@ -320,19 +309,6 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        // Also after a pop drained the near list.
-        q.schedule(SimTime::from_millis(9), ());
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
-        assert_eq!(q.now(), SimTime::from_millis(7));
     }
 
     /// Sparse far-future events (half-hour patience timers among

@@ -95,11 +95,6 @@ impl OutageSchedule {
         }
     }
 
-    /// Is the platform down at time `t`?
-    pub fn is_out(&mut self, t: SimTime) -> bool {
-        self.defer(t).is_some()
-    }
-
     /// If `t` falls inside an outage window, the recovery time (strictly
     /// greater than `t`) the caller should defer the event to; `None`
     /// when the platform is up.
@@ -185,7 +180,7 @@ mod tests {
         let mut probes = 0usize;
         for ms in (0..total * 60).step_by(250) {
             probes += 1;
-            if s.is_out(SimTime::from_millis(ms)) {
+            if s.defer(SimTime::from_millis(ms)).is_some() {
                 out += 1;
             }
         }

@@ -191,15 +191,6 @@ impl Rng {
             out
         }
     }
-
-    /// Pick one element of a slice uniformly at random.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.index(xs.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,12 +305,5 @@ mod tests {
                 "counts={counts:?}"
             );
         }
-    }
-
-    #[test]
-    fn choose_none_on_empty() {
-        let mut rng = Rng::new(41);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-        assert_eq!(rng.choose(&[9]), Some(&9));
     }
 }

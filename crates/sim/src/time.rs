@@ -57,11 +57,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction yielding a duration, `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -114,11 +109,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Integer division of two durations (how many `rhs` fit in `self`).
-    pub fn div_duration(self, rhs: SimDuration) -> u64 {
-        self.0.checked_div(rhs.0).unwrap_or(0)
     }
 }
 
@@ -221,7 +211,6 @@ mod tests {
         assert_eq!((t + d).since(t), d);
         // Saturating: earlier.since(later) is zero, not a panic.
         assert_eq!(t.since(t + d), SimDuration::ZERO);
-        assert_eq!(t.checked_since(t + d), None);
     }
 
     #[test]
@@ -233,8 +222,6 @@ mod tests {
         assert_eq!(b - a, SimDuration::ZERO);
         assert_eq!(a * 2, SimDuration::from_secs(12));
         assert_eq!(a / 2, SimDuration::from_secs(3));
-        assert_eq!(a.div_duration(b), 1);
-        assert_eq!(a.div_duration(SimDuration::ZERO), 0);
     }
 
     #[test]

@@ -52,15 +52,12 @@
 //!   [`StreamDigest`].
 //! * [`engine`] — [`run_stream_with`] (and [`run_stream`], its
 //!   sink-less form): the open-loop service loop.
-//! * [`cells`] — streamed sweep cells: run every job of a
-//!   [`Grid`](clamshell_sweep::Grid) in streaming mode across threads.
 //! * [`dashboard`] — deterministic plain-text rendering of checkpoint
 //!   rows, one line per emission (used by `repro serve` and the
 //!   `streaming_dashboard` example).
 
 #![warn(missing_docs)]
 
-pub mod cells;
 pub mod checkpoint;
 pub mod dashboard;
 pub mod engine;

@@ -340,11 +340,6 @@ impl Grid {
         jobs
     }
 
-    /// The seed axis, in declaration order.
-    pub fn seed_axis(&self) -> &[u64] {
-        &self.seeds
-    }
-
     /// FNV-1a fingerprint of the grid's *shape*: axis sizes, seeds, and
     /// scenario/variant labels. Shard manifests store it so a resume
     /// against a differently shaped (or relabeled) grid is rejected

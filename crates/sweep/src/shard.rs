@@ -82,11 +82,13 @@
 //! trailing `\n`; resume treats that shard as never recorded, truncates
 //! the file back to the last newline, and appends from there, so the
 //! finished file (and the aggregate) is byte-identical to an
-//! uninterrupted run's. A complete (newline-terminated) line that fails
-//! validation is still [`ShardError::Corrupt`], and so is one whose
-//! fields validate but whose bytes differ from the line this build
-//! would write for them (stray bytes, a `+` sign, a leading zero, a
-//! blank line): resuming past it could not finish byte-identical.
+//! uninterrupted run's. Resume reads each complete (newline-terminated)
+//! line in one strict pass that accepts only what the writer renders:
+//! the keys in the writer's order, canonical decimal integers (no sign,
+//! no leading zero, no overflow), and nothing after the closing `}`. A
+//! line that fails that read (stray bytes, a `+` sign, a leading zero, a
+//! blank line) or the validation below is [`ShardError::Corrupt`]:
+//! resuming past it could not finish byte-identical.
 //!
 //! On resume the header is validated against the live grid
 //! ([`Grid::shape_fingerprint`], shard size, job count, snapshot shape),
@@ -297,26 +299,63 @@ fn render_shard_line(shard: u64, lo: u64, hi: u64, cells: &[u64], fp: u64) -> St
     format!("{{\"shard\":{shard},\"lo\":{lo},\"hi\":{hi},\"cells\":[{body}],\"fp\":{fp}}}")
 }
 
-/// Scan `line` for `"key":<digits>` and parse the integer.
-fn take_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
+/// A strict reader of one manifest line. It accepts only what the
+/// writer renders: the literal keys in the writer's order, canonical
+/// decimal `u64`s (no sign, no leading zero, no overflow), and nothing
+/// after the closing `}`. A line it reads to the end is therefore the
+/// line this build would write for its fields.
+struct Cursor<'a>(&'a [u8]);
 
-/// Scan `line` for `"key":[<digits>,…]` and parse the integer array.
-fn take_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let close = rest.find(']')?;
-    let body = &rest[..close];
-    if body.is_empty() {
-        return Some(Vec::new());
+impl Cursor<'_> {
+    /// Consume the literal `lit`.
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit.as_bytes())?;
+        Some(())
     }
-    body.split(',').map(|tok| tok.parse().ok()).collect()
+
+    /// Consume the literal `key`, then a canonical decimal `u64`.
+    fn u64_after(&mut self, key: &str) -> Option<u64> {
+        self.lit(key)?;
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        self.0 = rest;
+        digits.iter().try_fold(0u64, |n, &d| n.checked_mul(10)?.checked_add(u64::from(d - b'0')))
+    }
+
+    /// Consume the literal `lit`, which must end the line.
+    fn end(self, lit: &str) -> Option<()> {
+        (self.0 == lit.as_bytes()).then_some(())
+    }
+
+    /// Read a whole header line after its version field.
+    fn header_rest(mut self) -> Option<Header> {
+        let header = Header {
+            grid: self.u64_after(",\"grid\":")?,
+            shard_size: self.u64_after(",\"shard_size\":")?,
+            n_jobs: self.u64_after(",\"n_jobs\":")?,
+            words: self.u64_after(",\"words\":")?,
+        };
+        self.end("}")?;
+        Some(header)
+    }
+
+    /// Read a whole shard line as `(shard, lo, hi, cells, fp)`.
+    fn shard_line(mut self) -> Option<(u64, u64, u64, Vec<u64>, u64)> {
+        let shard = self.u64_after("{\"shard\":")?;
+        let lo = self.u64_after(",\"lo\":")?;
+        let hi = self.u64_after(",\"hi\":")?;
+        self.lit(",\"cells\":[")?;
+        let mut cells = Vec::new();
+        while self.lit("]").is_none() {
+            cells.push(self.u64_after(if cells.is_empty() { "" } else { "," })?);
+        }
+        let fp = self.u64_after(",\"fp\":")?;
+        self.end("}")?;
+        Some((shard, lo, hi, cells, fp))
+    }
 }
 
 fn io_err(path: &Path, source: std::io::Error) -> ShardError {
@@ -483,8 +522,8 @@ fn parse_manifest(
         };
     }
     let mut end = buf.len() as u64 + 1;
-    let first = std::str::from_utf8(&buf).map_err(|_| corrupt(path, 1, "not UTF-8"))?;
-    let version = take_u64(first, "v").ok_or_else(|| corrupt(path, 1, "header missing \"v\""))?;
+    let mut first = Cursor(&buf);
+    let version = first.u64_after("{\"v\":").ok_or_else(|| corrupt(path, 1, "malformed header"))?;
     if version != MANIFEST_VERSION {
         return Err(ShardError::Incompatible {
             field: "v",
@@ -492,20 +531,16 @@ fn parse_manifest(
             expected: MANIFEST_VERSION,
         });
     }
-    for (field, expected) in [
-        ("grid", header.grid),
-        ("shard_size", header.shard_size),
-        ("n_jobs", header.n_jobs),
-        ("words", header.words),
+    let found = first.header_rest().ok_or_else(|| corrupt(path, 1, "malformed header"))?;
+    for (field, manifest, expected) in [
+        ("grid", found.grid, header.grid),
+        ("shard_size", found.shard_size, header.shard_size),
+        ("n_jobs", found.n_jobs, header.n_jobs),
+        ("words", found.words, header.words),
     ] {
-        let got = take_u64(first, field)
-            .ok_or_else(|| corrupt(path, 1, format!("header missing {field:?}")))?;
-        if got != expected {
-            return Err(ShardError::Incompatible { field, manifest: got, expected });
+        if manifest != expected {
+            return Err(ShardError::Incompatible { field, manifest, expected });
         }
-    }
-    if first != header.render() {
-        return Err(corrupt(path, 1, "header is not in canonical form"));
     }
 
     let mut fp = header.chain_seed();
@@ -515,9 +550,9 @@ fn parse_manifest(
     while read_line(&mut reader, &mut buf, path)? {
         lineno += 1;
         end += buf.len() as u64 + 1;
-        let line = std::str::from_utf8(&buf).map_err(|_| corrupt(path, lineno, "not UTF-8"))?;
-        let shard =
-            take_u64(line, "shard").ok_or_else(|| corrupt(path, lineno, "missing \"shard\""))?;
+        let (shard, lo, hi, cells, got_fp) = Cursor(&buf)
+            .shard_line()
+            .ok_or_else(|| corrupt(path, lineno, "malformed shard line"))?;
         if shard != shards as u64 {
             return Err(corrupt(
                 path,
@@ -525,8 +560,6 @@ fn parse_manifest(
                 format!("expected shard {shards} but found {shard}"),
             ));
         }
-        let lo = take_u64(line, "lo").ok_or_else(|| corrupt(path, lineno, "missing \"lo\""))?;
-        let hi = take_u64(line, "hi").ok_or_else(|| corrupt(path, lineno, "missing \"hi\""))?;
         let want_lo = shard * header.shard_size;
         let want_hi = (want_lo + header.shard_size).min(header.n_jobs);
         if lo != want_lo || hi != want_hi {
@@ -536,8 +569,6 @@ fn parse_manifest(
                 format!("shard {shard} covers {lo}..{hi}, expected {want_lo}..{want_hi}"),
             ));
         }
-        let cells = take_u64_array(line, "cells")
-            .ok_or_else(|| corrupt(path, lineno, "missing or malformed \"cells\""))?;
         if cells.len() as u64 != header.words {
             return Err(corrupt(
                 path,
@@ -545,15 +576,9 @@ fn parse_manifest(
                 format!("{} snapshot words, header promises {}", cells.len(), header.words),
             ));
         }
-        let got_fp = take_u64(line, "fp").ok_or_else(|| corrupt(path, lineno, "missing \"fp\""))?;
         let want_fp = chain_fp(fp, shard, lo, hi, &cells);
         if got_fp != want_fp {
             return Err(corrupt(path, lineno, "fingerprint chain broken"));
-        }
-        // The scanners skip bytes around the fields they read, so only a
-        // line as the writer renders it resumes to a byte-identical file.
-        if line != render_shard_line(shard, lo, hi, &cells, got_fp) {
-            return Err(corrupt(path, lineno, "line is not in canonical form"));
         }
         fp = got_fp;
         shards += 1;
@@ -1134,11 +1159,11 @@ mod tests {
 
     #[test]
     fn resume_rejects_non_canonical_lines() {
-        // Each edit keeps every field the scanners read, so only the
-        // canonical-form check can catch it; resuming past it would leave
-        // a finished manifest that differs from the uninterrupted one.
+        // Each edit keeps every field's value, so only the strict read
+        // can catch it; resuming past it would leave a finished manifest
+        // that differs from the uninterrupted one.
         type Edit = fn(&mut Vec<String>);
-        let edits: [(&str, Edit, usize); 4] = [
+        let edits: [(&str, Edit, usize); 7] = [
             ("junk after line 3", |lines| lines[2].push_str("junk"), 3),
             (
                 "a plus sign in line 4's cells",
@@ -1154,6 +1179,25 @@ mod tests {
                 1,
             ),
             ("a blank line before line 3", |lines| lines.insert(2, String::new()), 3),
+            (
+                "an overflowing cell word in line 2",
+                |lines| {
+                    let at = lines[1].find("\"cells\":[").unwrap() + "\"cells\":[".len();
+                    let len = lines[1][at..].find([',', ']']).unwrap();
+                    lines[1].replace_range(at..at + len, "18446744073709551616");
+                },
+                2,
+            ),
+            (
+                "a space after a colon in line 3",
+                |lines| lines[2] = lines[2].replacen("\"hi\":", "\"hi\": ", 1),
+                3,
+            ),
+            (
+                "\"lo\" and \"hi\" swapped in line 4",
+                |lines| lines[3] = lines[3].replacen("\"lo\":4,\"hi\":6,", "\"hi\":6,\"lo\":4,", 1),
+                4,
+            ),
         ];
         let g = grid();
         let path = manifest_path("canonical");
@@ -1239,7 +1283,8 @@ mod tests {
         let mut at = 0;
         let lines = std::str::from_utf8(full).unwrap().split_inclusive('\n').map(|line| {
             at += line.len() as u64;
-            (at, take_u64(line, "hi").unwrap_or(0))
+            let line = line.strip_suffix('\n').unwrap_or(line);
+            (at, Cursor(line.as_bytes()).shard_line().map_or(0, |(_, _, hi, _, _)| hi))
         });
         std::iter::once((0, 0)).chain(lines).collect()
     }
@@ -1351,14 +1396,26 @@ mod tests {
 
     #[test]
     fn field_scanners_parse_and_reject() {
-        let line = "{\"shard\":3,\"lo\":6,\"hi\":9,\"cells\":[1,2,3],\"fp\":42}";
-        assert_eq!(take_u64(line, "shard"), Some(3));
-        assert_eq!(take_u64(line, "fp"), Some(42));
-        assert_eq!(take_u64(line, "nope"), None);
-        assert_eq!(take_u64("{\"shard\":}", "shard"), None);
-        assert_eq!(take_u64_array(line, "cells"), Some(vec![1, 2, 3]));
-        assert_eq!(take_u64_array("{\"cells\":[]}", "cells"), Some(vec![]));
-        assert_eq!(take_u64_array("{\"cells\":[1,x]}", "cells"), None);
-        assert_eq!(take_u64_array(line, "nope"), None);
+        let line = b"{\"shard\":3,\"lo\":6,\"hi\":9,\"cells\":[1,2,3],\"fp\":42}";
+        assert_eq!(Cursor(line).shard_line(), Some((3, 6, 9, vec![1, 2, 3], 42)));
+        let empty = b"{\"shard\":0,\"lo\":0,\"hi\":0,\"cells\":[],\"fp\":0}";
+        assert_eq!(Cursor(empty).shard_line(), Some((0, 0, 0, vec![], 0)));
+        for bad in ["[1,x]", "[1,]", "[,1]", "[01]", "[+1]", "[1 ]", "[18446744073709551616]"] {
+            let line = format!("{{\"shard\":0,\"lo\":0,\"hi\":0,\"cells\":{bad},\"fp\":0}}");
+            assert_eq!(Cursor(line.as_bytes()).shard_line(), None, "{bad}");
+        }
+        let max = format!("{{\"shard\":0,\"lo\":0,\"hi\":0,\"cells\":[{}],\"fp\":0}}", u64::MAX);
+        assert_eq!(Cursor(max.as_bytes()).shard_line(), Some((0, 0, 0, vec![u64::MAX], 0)));
+        assert_eq!(Cursor(&line[..line.len() - 1]).shard_line(), None);
+        assert_eq!(Cursor(b"{\"shard\":}").shard_line(), None);
+        let header = Header { grid: 7, shard_size: 2, n_jobs: 6, words: 3 };
+        let text = header.render();
+        let mut c = Cursor(text.as_bytes());
+        assert_eq!(c.u64_after("{\"v\":"), Some(MANIFEST_VERSION));
+        assert_eq!(c.header_rest(), Some(header));
+        let trailing = format!("{text} ");
+        let mut c = Cursor(trailing.as_bytes());
+        c.u64_after("{\"v\":");
+        assert_eq!(c.header_rest(), None);
     }
 }

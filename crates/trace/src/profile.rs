@@ -54,16 +54,6 @@ impl WorkerProfile {
         }
     }
 
-    /// The same profile with a straggler-spike mixture enabled.
-    pub fn with_spikes(mut self, prob: f64, mult_median: f64, mult_sigma: f64) -> Self {
-        assert!((0.0..=1.0).contains(&prob));
-        assert!(mult_median >= 1.0 && mult_sigma >= 0.0);
-        self.spike_prob = prob;
-        self.spike_mult_median = mult_median;
-        self.spike_mult_sigma = mult_sigma;
-        self
-    }
-
     /// Latency distribution for a task that groups `ng` records
     /// (`Simple = 1`, `Medium = 5`, `Complex = 10` in Table 3).
     pub fn task_latency_dist(&self, ng: u32) -> TruncNormal {
@@ -153,7 +143,12 @@ mod tests {
 
     #[test]
     fn spikes_produce_rare_large_outliers() {
-        let p = WorkerProfile::fixed(4.0, 0.5, 0.9).with_spikes(0.05, 6.0, 0.5);
+        let p = WorkerProfile {
+            spike_prob: 0.05,
+            spike_mult_median: 6.0,
+            spike_mult_sigma: 0.5,
+            ..WorkerProfile::fixed(4.0, 0.5, 0.9)
+        };
         let mut rng = Rng::new(7);
         let n = 50_000;
         let samples: Vec<f64> = (0..n).map(|_| p.sample_task_secs(1, &mut rng)).collect();
