@@ -15,23 +15,25 @@ pub struct Vote {
 ///
 /// Returns `None` on an empty vote set.
 pub fn majority_vote(votes: &[Vote]) -> Option<u32> {
-    // label -> (count, first index at which it took its final value)
-    let mut tally: Vec<(u32, usize, usize)> = Vec::new();
+    // Scan the ballot in place (it is quorum-sized) instead of building a
+    // tally: each label is scored once, at its last vote, as (count,
+    // index at which it took its final count, label).
+    let mut best: Option<(usize, usize, u32)> = None;
     for (i, v) in votes.iter().enumerate() {
-        match tally.iter_mut().find(|(l, _, _)| *l == v.label) {
-            Some(entry) => {
-                entry.1 += 1;
-                entry.2 = i;
-            }
-            None => tally.push((v.label, 1, i)),
+        if votes[i + 1..].iter().any(|w| w.label == v.label) {
+            continue;
         }
-    }
-    tally
-        .into_iter()
+        let count = votes[..i].iter().filter(|w| w.label == v.label).count() + 1;
+        let cand = (count, i, v.label);
         // Max count; ties -> earliest final update (smaller index wins),
         // then smaller label, purely for determinism.
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)).then(b.0.cmp(&a.0)))
-        .map(|(l, _, _)| l)
+        if best
+            .is_none_or(|b| cand.0.cmp(&b.0).then(b.1.cmp(&cand.1)).then(b.2.cmp(&cand.2)).is_gt())
+        {
+            best = Some(cand);
+        }
+    }
+    best.map(|(_, _, l)| l)
 }
 
 #[cfg(test)]

@@ -60,6 +60,27 @@ fn arb_config() -> impl proptest::strategy::Strategy<Value = RunConfig> {
     )
 }
 
+/// The tally-based plurality vote `majority_vote` used to run, kept as
+/// the oracle for its allocation-free rewrite: label -> (count, index of
+/// its final update), max count, ties to the earliest final update, then
+/// the smaller label.
+fn tally_vote(votes: &[clamshell::quality::voting::Vote]) -> Option<u32> {
+    let mut tally: Vec<(u32, usize, usize)> = Vec::new();
+    for (i, v) in votes.iter().enumerate() {
+        match tally.iter_mut().find(|(l, _, _)| *l == v.label) {
+            Some(entry) => {
+                entry.1 += 1;
+                entry.2 = i;
+            }
+            None => tally.push((v.label, 1, i)),
+        }
+    }
+    tally
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)).then(b.0.cmp(&a.0)))
+        .map(|(l, _, _)| l)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -175,6 +196,20 @@ proptest! {
                 prop_assert_eq!(majority_vote(&rotated), Some(best as u32));
             }
         }
+    }
+
+    /// The allocation-free majority vote picks exactly what a label tally
+    /// picks, ties included: small label alphabets make tied counts and
+    /// tie-breaks on the final-update index common.
+    #[test]
+    fn majority_vote_matches_tally_oracle(labels in proptest::collection::vec(0u32..3, 0..10)) {
+        use clamshell::quality::voting::Vote;
+        let votes: Vec<Vote> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| Vote { worker: i as u32, label: l })
+            .collect();
+        prop_assert_eq!(majority_vote(&votes), tally_vote(&votes));
     }
 
     /// Worker latency sampling respects the profile floor and scales with
