@@ -6,13 +6,18 @@
 //! populations, mid-assignment churn, platform blackouts, bursty
 //! arrivals, and heavy-tailed inflation. Run all scenarios via
 //! `repro adversity`, or a single one via `repro --scenario <name>`.
+//!
+//! Both modes share one driver that streams cells through the sweep
+//! engine's ordered sink: each report is reduced to the table's four
+//! scalars (and, with `--trace`, written out as its JSONL section), then
+//! dropped, so memory does not grow with the seed count.
 
-use crate::util::{f2, header, mean_of, ratio, row, Opts};
+use crate::util::{f2, header, ratio, row, Opts};
 use clamshell_core::metrics::RunReport;
 use clamshell_core::RunConfig;
 use clamshell_obs::{json_str, ObsConfig};
 use clamshell_scenarios::{catalog, find, ScenarioDef};
-use clamshell_sweep::Grid;
+use clamshell_sweep::{Grid, JobMeta};
 use clamshell_trace::Population;
 use std::io::Write;
 use std::path::Path;
@@ -27,7 +32,32 @@ fn base_config(seed: u64) -> RunConfig {
 /// workloads, so the streamed JSONL is the complete event record.
 const TRACE_RING: usize = 1 << 16;
 
-fn run_defs_with(opts: &Opts, defs: &[&ScenarioDef], obs: ObsConfig) -> Vec<Vec<RunReport>> {
+/// One cell's table scalars, in column order: accuracy, latency (s),
+/// cost (USD), and workers departed.
+type Scalars = [f64; 4];
+
+fn scalars(r: &RunReport) -> Scalars {
+    [r.accuracy(), r.total_secs(), r.cost.total_micro() as f64 / 1e6, r.workers_departed as f64]
+}
+
+/// Column means over one def's cells, summed in seed order (the same
+/// arithmetic as [`crate::util::mean_of`], so the printed bytes match).
+fn means(cells: &[Scalars]) -> Scalars {
+    std::array::from_fn(|k| cells.iter().map(|c| c[k]).sum::<f64>() / cells.len() as f64)
+}
+
+/// Run `defs` × `opts.seeds` through the sweep engine's ordered sink.
+/// Each report reaches `each(def index, seed, report)` on the calling
+/// thread in job order (scenario-major, seed-minor), is reduced to its
+/// [`Scalars`], and is then dropped, so the pipeline's window, not the
+/// seed count, bounds the reports in memory. Returns each def's
+/// per-seed scalars.
+fn run_defs(
+    opts: &Opts,
+    defs: &[&ScenarioDef],
+    obs: ObsConfig,
+    mut each: impl FnMut(usize, u64, &RunReport),
+) -> Vec<Vec<Scalars>> {
     let n_tasks = opts.n(48);
     let base = RunConfig { obs, ..base_config(opts.seeds[0]) };
     let mut grid =
@@ -37,16 +67,16 @@ fn run_defs_with(opts: &Opts, defs: &[&ScenarioDef], obs: ObsConfig) -> Vec<Vec<
         let def = **def;
         grid = grid.scenario(def.name, move |cfg| def.apply(cfg));
     }
-    let flat = grid.try_run_all(opts.threads).expect("catalog scenario labels are unique");
-    // Enumeration is scenario-major, seed-minor: rows are seed chunks.
-    flat.chunks(opts.seeds.len()).map(<[RunReport]>::to_vec).collect()
+    let mut rows = vec![Vec::with_capacity(opts.seeds.len()); defs.len()];
+    // Catalog scenario labels are unique, so the grid is valid.
+    grid.run_streaming(opts.threads, &mut |meta: &JobMeta, report: &RunReport| {
+        rows[meta.scenario].push(scalars(report));
+        each(meta.scenario, meta.seed, report);
+    });
+    rows
 }
 
-fn run_defs(opts: &Opts, defs: &[&ScenarioDef]) -> Vec<Vec<RunReport>> {
-    run_defs_with(opts, defs, ObsConfig::default())
-}
-
-fn print_table(defs: &[&ScenarioDef], grouped: &[Vec<RunReport>]) {
+fn print_table(defs: &[&ScenarioDef], rows: &[Vec<Scalars>]) {
     row(&[
         "scenario".into(),
         "accuracy".into(),
@@ -57,13 +87,9 @@ fn print_table(defs: &[&ScenarioDef], grouped: &[Vec<RunReport>]) {
         "departed".into(),
     ]);
     let benign_idx = defs.iter().position(|d| d.name == "benign").unwrap_or(0);
-    let benign_acc = mean_of(&grouped[benign_idx], |r| r.accuracy());
-    let benign_lat = mean_of(&grouped[benign_idx], |r| r.total_secs());
-    for (def, reports) in defs.iter().zip(grouped) {
-        let acc = mean_of(reports, |r| r.accuracy());
-        let lat = mean_of(reports, |r| r.total_secs());
-        let cost = mean_of(reports, |r| r.cost.total_micro() as f64 / 1e6);
-        let departed = mean_of(reports, |r| r.workers_departed as f64);
+    let [benign_acc, benign_lat, ..] = means(&rows[benign_idx]);
+    for (def, cells) in defs.iter().zip(rows) {
+        let [acc, lat, cost, departed] = means(cells);
         row(&[
             def.name.into(),
             f2(acc),
@@ -85,8 +111,8 @@ pub fn adversity(opts: &Opts) {
          Muhammadi et al. (spammer/adversarial crowds)",
     );
     let defs: Vec<&ScenarioDef> = catalog().iter().collect();
-    let grouped = run_defs(opts, &defs);
-    print_table(&defs, &grouped);
+    let rows = run_defs(opts, &defs, ObsConfig::default(), |_, _, _| {});
+    print_table(&defs, &rows);
     println!(
         "  expectation: adversarial/spammers cut accuracy; blackout/heavy-tail/sleepy \
          stretch latency; churn departs workers; benign deltas are zero by definition"
@@ -105,13 +131,10 @@ fn defs_for(def: &'static ScenarioDef) -> Vec<&'static ScenarioDef> {
 /// One scenario's structured comparison rows (the JSON analogue of
 /// [`print_table`]). Fixed decimal formatting keeps the rendering
 /// byte-stable at any thread count.
-fn json_rows(defs: &[&ScenarioDef], grouped: &[Vec<RunReport>]) -> String {
+fn json_rows(defs: &[&ScenarioDef], rows: &[Vec<Scalars>]) -> String {
     let mut out = String::new();
-    for (i, (def, reports)) in defs.iter().zip(grouped).enumerate() {
-        let acc = mean_of(reports, |r| r.accuracy());
-        let lat = mean_of(reports, |r| r.total_secs());
-        let cost = mean_of(reports, |r| r.cost.total_micro() as f64 / 1e6);
-        let departed = mean_of(reports, |r| r.workers_departed as f64);
+    for (i, (def, cells)) in defs.iter().zip(rows).enumerate() {
+        let [acc, lat, cost, departed] = means(cells);
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
             "        {{\"scenario\": {}, \"accuracy\": {acc:.4}, \"latency_secs\": {lat:.3}, \
@@ -127,6 +150,13 @@ fn json_rows(defs: &[&ScenarioDef], grouped: &[Vec<RunReport>]) -> String {
 /// document, and optionally streaming every cell's flight-recorder
 /// trace to `trace` as JSONL (header line + one line per event, cells
 /// in job order). Returns `Err` with a message on an unknown name.
+///
+/// Cells stream through [`Grid::run_streaming`]: each cell's trace
+/// section is rendered into one reused buffer and written as its report
+/// arrives, so memory is bounded by the sweep window, not by the seed
+/// count. The engine cannot stop a run early, so the first trace write
+/// error is kept, that scenario's later writes are skipped, and the
+/// error is returned after its run; no later scenario runs.
 pub fn scenario_mode(
     opts: &Opts,
     names: &[String],
@@ -152,32 +182,35 @@ pub fn scenario_mode(
         .transpose()?;
     // One section buffer for the whole trace export, reused per cell.
     let mut trace_buf = Vec::new();
+    let mut write_err: Option<String> = None;
     let mut json_sections = String::new();
     for (k, def) in picked.iter().enumerate() {
         let defs = defs_for(def);
-        let grouped = run_defs_with(opts, &defs, obs);
+        let rows = run_defs(opts, &defs, obs, |d, seed, report| {
+            let Some(out) = trace_out.as_mut().filter(|_| write_err.is_none()) else {
+                return;
+            };
+            let obs_report = report.obs.as_ref().expect("traced scenario runs are instrumented");
+            trace_buf.clear();
+            obs_report.render_jsonl_into(defs[d].name, seed, &mut trace_buf);
+            if let Err(e) = out.write_all(&trace_buf) {
+                write_err = Some(format!("cannot write trace: {e}"));
+            }
+        });
         if json {
             json_sections.push_str(if k == 0 { "\n" } else { ",\n" });
             json_sections.push_str(&format!(
                 "    {{\"name\": {}, \"summary\": {}, \"rows\": [{}\n    ]}}",
                 json_str(def.name),
                 json_str(def.summary),
-                json_rows(&defs, &grouped)
+                json_rows(&defs, &rows)
             ));
         } else {
             header(&format!("scenario:{}", def.name), def.summary, def.motivation);
-            print_table(&defs, &grouped);
+            print_table(&defs, &rows);
         }
-        if let Some(out) = trace_out.as_mut() {
-            for (d, reports) in defs.iter().zip(&grouped) {
-                for (report, &seed) in reports.iter().zip(&opts.seeds) {
-                    let obs_report =
-                        report.obs.as_ref().expect("traced scenario runs are instrumented");
-                    trace_buf.clear();
-                    obs_report.render_jsonl_into(d.name, seed, &mut trace_buf);
-                    out.write_all(&trace_buf).map_err(|e| format!("cannot write trace: {e}"))?;
-                }
-            }
+        if let Some(e) = write_err {
+            return Err(e);
         }
     }
     if let Some(mut out) = trace_out {
@@ -244,22 +277,41 @@ mod tests {
     }
 
     #[test]
+    fn trace_write_errors_are_returned() {
+        // Every write to /dev/full fails, so the first buffered write's
+        // error must come back from scenario_mode once the run is over.
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let opts = Opts { seeds: vec![1, 2], scale: 0.05, ..Default::default() };
+        let err = scenario_mode(&opts, &["churn".into(), "blackout".into()], false, Some(full))
+            .unwrap_err();
+        assert!(err.starts_with("cannot write trace: "), "{err}");
+    }
+
+    #[test]
     fn tracing_does_not_perturb_the_table() {
         // The text table printed with --trace must match the untraced
         // one: instrumentation draws no RNG values. print_table writes
-        // to stdout, so compare the underlying reports instead.
-        let opts = Opts { seeds: vec![1], scale: 0.05, ..Default::default() };
+        // to stdout, so compare the reports each cell hands the driver,
+        // and the scalars the table is computed from.
+        let opts = Opts { seeds: vec![1, 2], scale: 0.05, ..Default::default() };
         let defs = defs_for(find("churn").unwrap());
-        let plain = run_defs(&opts, &defs);
-        let traced = run_defs_with(&opts, &defs, clamshell_obs::ObsConfig::with_ring(TRACE_RING));
-        for (a, b) in plain.iter().flatten().zip(traced.iter().flatten()) {
-            assert!(b.obs.is_some() && a.obs.is_none());
-            let mut stripped = b.clone();
-            stripped.obs = None;
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(&stripped).unwrap()
-            );
-        }
+        let cells = |obs: ObsConfig| {
+            let mut reports = Vec::new();
+            let rows = run_defs(&opts, &defs, obs, |_, _, r| {
+                assert_eq!(r.obs.is_some(), obs.enabled);
+                let mut stripped = r.clone();
+                stripped.obs = None;
+                reports.push(serde_json::to_string(&stripped).unwrap());
+            });
+            (reports, rows)
+        };
+        let (plain, plain_rows) = cells(ObsConfig::default());
+        let (traced, traced_rows) = cells(ObsConfig::with_ring(TRACE_RING));
+        assert_eq!(plain.len(), defs.len() * opts.seeds.len());
+        assert_eq!(plain, traced);
+        assert_eq!(plain_rows, traced_rows);
     }
 }
