@@ -205,7 +205,7 @@ fn main() {
             trace.as_deref(),
         );
         if let Err(msg) = mode {
-            fail(format_args!("{msg}; try --scenario list"));
+            fail(msg);
         }
         return;
     }
@@ -291,7 +291,7 @@ fn serve_cli(args: &[String]) {
                     fail("--rate must be positive");
                 }
             }
-            "--tasks" => sa.tasks = value(args, &mut i, "a count"),
+            "--tasks" => sa.tasks = value::<NonZeroUsize>(args, &mut i, "a positive count").get(),
             "--checkpoint-every" => {
                 sa.checkpoint_every = value::<NonZeroUsize>(args, &mut i, "a positive count").get()
             }
@@ -305,7 +305,7 @@ fn serve_cli(args: &[String]) {
     let opts = compose(quick, seeds, threads);
     banner(&opts);
     if let Err(msg) = serve(&opts, &sa) {
-        fail(format_args!("{msg}; try --scenario list"));
+        fail(msg);
     }
 }
 
@@ -328,8 +328,10 @@ fn megasweep_cli(args: &[String]) {
             }
             "--quick" => quick = true,
             "--resume" => ma.resume = true,
-            "--cells" => ma.cells = value(args, &mut i, "a count"),
-            "--shard-size" => ma.shard_size = value(args, &mut i, "a count"),
+            "--cells" => ma.cells = value::<NonZeroUsize>(args, &mut i, "a positive count").get(),
+            "--shard-size" => {
+                ma.shard_size = value::<NonZeroUsize>(args, &mut i, "a positive count").get()
+            }
             "--manifest" => ma.manifest = value(args, &mut i, "a path"),
             "--threads" => threads = Some(value(args, &mut i, "a count")),
             other => fail(format_args!("unknown megasweep argument: {other}")),

@@ -165,7 +165,7 @@ pub fn scenario_mode(
 ) -> Result<(), String> {
     let mut picked: Vec<&'static ScenarioDef> = Vec::new();
     for name in names {
-        picked.push(find(name).ok_or_else(|| format!("unknown scenario: {name}"))?);
+        picked.push(crate::experiments::find_scenario(name)?);
     }
     // Tracing needs instrumented runs; plain table modes must stay
     // byte-identical to the uninstrumented harness, so obs is off there.
@@ -237,7 +237,10 @@ mod tests {
         let opts = Opts { seeds: vec![1], scale: 0.05, ..Default::default() };
         let names = |name: &str| vec![name.to_string()];
         let err = scenario_mode(&opts, &names("definitely-not-a-scenario"), false, None);
-        assert_eq!(err, Err("unknown scenario: definitely-not-a-scenario".to_string()));
+        assert_eq!(
+            err,
+            Err("unknown scenario: definitely-not-a-scenario; try --scenario list".to_string())
+        );
         assert_eq!(scenario_mode(&opts, &names("churn"), false, None), Ok(()));
     }
 

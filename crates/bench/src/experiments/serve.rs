@@ -12,7 +12,7 @@
 use crate::util::Opts;
 use clamshell_core::runner::run_batched;
 use clamshell_obs::fingerprint_hex;
-use clamshell_scenarios::{find, suite};
+use clamshell_scenarios::suite;
 use clamshell_stream::{dashboard, run_stream_with, source, StreamConfig, StreamDigest};
 
 /// Service-mode knobs parsed from the `repro serve` command line.
@@ -41,11 +41,7 @@ impl Default for ServeArgs {
 /// Run the service walkthrough; `Err` carries the user-facing message
 /// for an unknown scenario name.
 pub fn serve(opts: &Opts, args: &ServeArgs) -> Result<(), String> {
-    let scenario = args
-        .scenario
-        .as_deref()
-        .map(|name| find(name).ok_or_else(|| format!("unknown scenario: {name}")))
-        .transpose()?;
+    let scenario = args.scenario.as_deref().map(crate::experiments::find_scenario).transpose()?;
     let n_tasks = opts.n(args.tasks);
     let knobs = StreamConfig {
         rate_per_sec: args.rate,
@@ -120,6 +116,6 @@ mod tests {
         let churn = ServeArgs { scenario: Some("churn".into()), ..ServeArgs::default() };
         assert!(serve(&opts, &churn).is_ok());
         let bogus = ServeArgs { scenario: Some("nope".into()), ..ServeArgs::default() };
-        assert_eq!(serve(&opts, &bogus), Err("unknown scenario: nope".into()));
+        assert_eq!(serve(&opts, &bogus), Err("unknown scenario: nope; try --scenario list".into()));
     }
 }

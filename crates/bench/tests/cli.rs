@@ -43,3 +43,35 @@ fn zero_checkpoint_cadence_is_rejected() {
         "--checkpoint-every takes a positive count",
     );
 }
+
+#[test]
+fn zero_counts_are_rejected() {
+    assert_rejected(&["serve", "--tasks", "0"], "--tasks takes a positive count");
+    assert_rejected(&["megasweep", "--cells", "0"], "--cells takes a positive count");
+    assert_rejected(&["megasweep", "--shard-size", "0"], "--shard-size takes a positive count");
+}
+
+/// Run `repro` on arguments that parse but fail once the run starts:
+/// it exits 2 and the last stderr line is `message`.
+fn assert_fails_at_run(args: &[&str], message: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr:?}");
+    assert_eq!(stderr.lines().last(), Some(message), "{args:?}");
+}
+
+#[test]
+fn unknown_scenario_names_get_the_list_hint() {
+    let hint = "unknown scenario: nope; try --scenario list";
+    assert_fails_at_run(&["--scenario", "nope", "--quick"], hint);
+    assert_fails_at_run(&["serve", "--scenario", "nope", "--quick"], hint);
+}
+
+#[test]
+fn trace_io_errors_print_without_the_list_hint() {
+    assert_fails_at_run(
+        &["--scenario", "churn", "--quick", "--trace", "/dev/full"],
+        "cannot write trace: No space left on device (os error 28)",
+    );
+}

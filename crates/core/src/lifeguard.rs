@@ -10,7 +10,7 @@
 //! All four are implemented so the `routing` experiment and ablation bench
 //! can reproduce that result.
 
-use crate::task::{StateView, TaskId};
+use crate::task::{TaskId, TaskTable};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimTime;
 
@@ -34,13 +34,13 @@ pub enum RoutingPolicy {
 ///
 /// `eligible` must already be filtered for: task active (not complete),
 /// concurrency cap not reached, and the worker not already on it. The
-/// [`StateView`] resolves task/assignment ids whether or not the runner
+/// [`TaskTable`] resolves task/assignment ids whether or not the runner
 /// has retired earlier state (streaming mode). Returns `None` when
 /// `eligible` is empty.
 pub fn route(
     policy: RoutingPolicy,
     eligible: &[TaskId],
-    view: &StateView<'_>,
+    table: &TaskTable,
     rng: &mut Rng,
 ) -> Option<TaskId> {
     if eligible.is_empty() {
@@ -49,22 +49,24 @@ pub fn route(
     match policy {
         RoutingPolicy::Random => eligible.get(rng.index(eligible.len())).copied(),
         RoutingPolicy::LongestRunning => eligible.iter().copied().min_by_key(|&t| {
-            view.task(t)
+            table
+                .task(t)
                 .active
                 .iter()
-                .map(|&a| view.assignment(a).start)
+                .map(|&a| table.assignment(a).start)
                 .min()
                 .unwrap_or(SimTime::MAX)
         }),
         RoutingPolicy::FewestWorkers => {
-            eligible.iter().copied().min_by_key(|&t| (view.task(t).active.len(), t))
+            eligible.iter().copied().min_by_key(|&t| (table.task(t).active.len(), t))
         }
         RoutingPolicy::Oracle => eligible.iter().copied().max_by_key(|&t| {
             (
-                view.task(t)
+                table
+                    .task(t)
                     .active
                     .iter()
-                    .map(|&a| view.assignment(a).planned_end)
+                    .map(|&a| table.assignment(a).planned_end)
                     .min()
                     .unwrap_or(SimTime::ZERO),
                 std::cmp::Reverse(t),
@@ -76,7 +78,7 @@ pub fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Assignment, AssignmentId, TaskSpec, TaskState};
+    use crate::task::{TaskSpec, TaskState};
     use clamshell_crowd::WorkerId;
 
     fn t(s: u64) -> SimTime {
@@ -85,102 +87,89 @@ mod tests {
 
     /// Two active tasks: task 0 started at 0s, finishes at 100s (one
     /// worker); task 1 started at 5s, finishes at 20s (two workers).
-    fn fixture() -> (Vec<TaskState>, Vec<Assignment>) {
-        let mk_assign = |id: u32, task: u32, start: u64, end: u64| Assignment {
-            id: AssignmentId(id),
-            task: TaskId(task),
-            worker: WorkerId(id),
-            start: t(start),
-            planned_end: t(end),
-            terminated: None,
-            completed: None,
-        };
-        let assignments =
-            vec![mk_assign(0, 0, 0, 100), mk_assign(1, 1, 5, 20), mk_assign(2, 1, 6, 50)];
-        let mut t0 = TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
-        t0.active.push(AssignmentId(0));
-        let mut t1 = TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
-        t1.active.push(AssignmentId(1));
-        t1.active.push(AssignmentId(2));
-        (vec![t0, t1], assignments)
+    /// Pushed after a retired prefix of `tasks` tasks and `assignments`
+    /// assignments, so their ids start at those bases.
+    fn fixture(tasks: u32, assignments: u32) -> TaskTable {
+        let mut table = TaskTable::after_retiring(tasks, assignments);
+        let t0 = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, t(0)));
+        let t1 = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, t(0)));
+        table.push_assignment(t0, WorkerId(0), t(0), t(100));
+        table.push_assignment(t1, WorkerId(1), t(5), t(20));
+        table.push_assignment(t1, WorkerId(2), t(6), t(50));
+        table
     }
 
     #[test]
     fn empty_eligible_routes_nowhere() {
-        let (tasks, assignments) = fixture();
-        let view = StateView::full(&tasks, &assignments);
+        let table = fixture(0, 0);
         let mut rng = Rng::new(1);
-        assert_eq!(route(RoutingPolicy::Random, &[], &view, &mut rng), None);
+        assert_eq!(route(RoutingPolicy::Random, &[], &table, &mut rng), None);
     }
 
     #[test]
     fn longest_running_picks_earliest_start() {
-        let (tasks, assignments) = fixture();
-        let view = StateView::full(&tasks, &assignments);
+        let table = fixture(0, 0);
         let mut rng = Rng::new(1);
-        let pick = route(RoutingPolicy::LongestRunning, &[TaskId(0), TaskId(1)], &view, &mut rng);
+        let pick = route(RoutingPolicy::LongestRunning, &[TaskId(0), TaskId(1)], &table, &mut rng);
         assert_eq!(pick, Some(TaskId(0))); // started at 0s vs 5s
     }
 
     #[test]
     fn fewest_workers_picks_thin_task() {
-        let (tasks, assignments) = fixture();
-        let view = StateView::full(&tasks, &assignments);
+        let table = fixture(0, 0);
         let mut rng = Rng::new(1);
-        let pick = route(RoutingPolicy::FewestWorkers, &[TaskId(0), TaskId(1)], &view, &mut rng);
+        let pick = route(RoutingPolicy::FewestWorkers, &[TaskId(0), TaskId(1)], &table, &mut rng);
         assert_eq!(pick, Some(TaskId(0))); // 1 live assignment vs 2
     }
 
     #[test]
     fn oracle_picks_latest_finishing() {
-        let (tasks, assignments) = fixture();
-        let view = StateView::full(&tasks, &assignments);
+        let table = fixture(0, 0);
         let mut rng = Rng::new(1);
-        let pick = route(RoutingPolicy::Oracle, &[TaskId(0), TaskId(1)], &view, &mut rng);
+        let pick = route(RoutingPolicy::Oracle, &[TaskId(0), TaskId(1)], &table, &mut rng);
         // Task 0's earliest completion is 100s; task 1's is 20s.
         assert_eq!(pick, Some(TaskId(0)));
     }
 
     #[test]
-    fn base_offset_view_routes_like_the_full_view() {
-        // Same fixture, but presented as the live tail of a longer run:
-        // every id shifted up by the bases the retired prefix left behind.
-        let (tasks, mut assignments) = fixture();
+    fn base_offset_table_routes_like_the_full_table() {
+        // Same fixture, but as the live tail of a longer run: every id
+        // shifted up by the bases the retired prefix left behind.
         let (tb, ab) = (10u32, 20u32);
-        let mut shifted_tasks = tasks.clone();
-        for t in &mut shifted_tasks {
-            for a in &mut t.active {
-                *a = AssignmentId(a.0 + ab);
-            }
-        }
-        for a in &mut assignments {
-            a.id = AssignmentId(a.id.0 + ab);
-            a.task = TaskId(a.task.0 + tb);
-        }
-        let view = StateView {
-            tasks: &shifted_tasks,
-            assignments: &assignments,
-            task_base: tb,
-            assignment_base: ab,
-        };
+        let table = fixture(tb, ab);
         let eligible = [TaskId(tb), TaskId(tb + 1)];
         for policy in
             [RoutingPolicy::LongestRunning, RoutingPolicy::FewestWorkers, RoutingPolicy::Oracle]
         {
             let mut rng = Rng::new(1);
-            let pick = route(policy, &eligible, &view, &mut rng);
+            let pick = route(policy, &eligible, &table, &mut rng);
             assert_eq!(pick, Some(TaskId(tb)), "{policy:?} must resolve offset ids");
         }
     }
 
     #[test]
+    fn simultaneous_starts_break_ties_deterministically() {
+        // Three tasks whose one live replica each started at 5s and
+        // finishes at 50s: every policy but Random sees a full tie.
+        let mut table = TaskTable::default();
+        for w in 0..3 {
+            let tid = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, t(0)));
+            table.push_assignment(tid, WorkerId(w), t(5), t(50));
+        }
+        let eligible = [TaskId(2), TaskId(0), TaskId(1)];
+        let pick = |policy| route(policy, &eligible, &table, &mut Rng::new(1));
+        assert_eq!(pick(RoutingPolicy::LongestRunning), Some(TaskId(2)), "first eligible task");
+        assert_eq!(pick(RoutingPolicy::FewestWorkers), Some(TaskId(0)), "lowest id");
+        assert_eq!(pick(RoutingPolicy::Oracle), Some(TaskId(0)), "lowest id");
+    }
+
+    #[test]
     fn random_covers_all_eligible() {
-        let (tasks, assignments) = fixture();
-        let view = StateView::full(&tasks, &assignments);
+        let table = fixture(0, 0);
         let mut rng = Rng::new(2);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
-            if let Some(p) = route(RoutingPolicy::Random, &[TaskId(0), TaskId(1)], &view, &mut rng)
+            if let Some(p) = route(RoutingPolicy::Random, &[TaskId(0), TaskId(1)], &table, &mut rng)
             {
                 seen.insert(p);
             }

@@ -20,6 +20,14 @@
 //! rejoin, so per-worker memory is bounded by the pool plus the reserve,
 //! not by everyone ever recruited.
 //!
+//! Each runner decision has one home. Task and assignment state, and
+//! the mapping from stream-position ids to table slots, live in one
+//! [`TaskTable`]; the current batch is its tail. [`TaskState::votes_needed`]
+//! is the quorum rule, `Runner::step` pumps every event, `Runner::trace`
+//! records every runner trace event (the queue-depth sample and the
+//! outage bookkeeping in `handle` excepted), and
+//! `Runner::record_assignment` logs every ended assignment.
+//!
 //! Determinism contract: for a fixed [`RunConfig`] (including seed) and
 //! task stream, two runs produce byte-identical [`RunReport`]s. Events at
 //! equal times fire in schedule order; all collections iterate in
@@ -31,7 +39,7 @@ use crate::lifeguard::route;
 use crate::maintainer::{self, WorkerStats};
 use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::{
-    Assignment, AssignmentId, LabelSpan, StateView, TaskId, TaskResponse, TaskSpec, TaskState,
+    Assignment, AssignmentId, LabelSpan, TaskId, TaskResponse, TaskSpec, TaskState, TaskTable,
 };
 use clamshell_crowd::{CostLedger, MemberState, RetainerPool, SimPlatform, Worker, WorkerId};
 use clamshell_obs::{RunObserver, TraceKind};
@@ -111,20 +119,8 @@ pub struct Runner {
     pool: RetainerPool<Seat>,
     rng: Rng,
 
-    tasks: Vec<TaskState>,
-    assignments: Vec<Assignment>,
-
-    /// Id of `tasks[0]`. Task/assignment ids are *stream positions* that
-    /// keep growing for the lifetime of a run; in batch mode they equal
-    /// table indices (base 0), but [`Runner::retire_completed`] drops the
-    /// completed prefix and bumps the bases so streamed-run memory stays
-    /// bounded. All table lookups subtract the base (see [`StateView`]).
-    task_base: u32,
-    /// Id of `assignments[0]` (see `task_base`).
-    assignment_base: u32,
-
-    /// Current batch's task ids.
-    batch_tasks: Vec<TaskId>,
+    /// Task and assignment state by id; the current batch is its tail.
+    table: TaskTable,
     batch_index: usize,
 
     /// Recruited workers not yet placed in the pool (the maintenance
@@ -230,11 +226,7 @@ impl Runner {
             // busy worker, plus abandon checks and recruitment arrivals).
             queue: EventQueue::with_capacity(cfg.pool_size * 4 + 16),
             pool,
-            tasks: Vec::new(),
-            assignments: Vec::new(),
-            task_base: 0,
-            assignment_base: 0,
-            batch_tasks: Vec::new(),
+            table: TaskTable::default(),
             batch_index: 0,
             reserve: BTreeMap::new(),
             recruits_in_flight: 0,
@@ -271,9 +263,8 @@ impl Runner {
         // Expected assignments per task: the vote quorum, plus one live
         // straggler replica at a time when mitigation can duplicate work.
         let per_task = self.cfg.quorum as usize + usize::from(self.cfg.straggler.is_some());
-        self.tasks.reserve(n_tasks);
+        self.table.reserve(n_tasks, n_tasks * per_task);
         self.task_records.reserve(n_tasks);
-        self.assignments.reserve(n_tasks * per_task);
         self.assignment_records.reserve(n_tasks * per_task);
     }
 
@@ -284,7 +275,7 @@ impl Runner {
 
     /// All task states (completed and otherwise).
     pub fn tasks(&self) -> &[TaskState] {
-        &self.tasks
+        self.table.tasks()
     }
 
     /// Resolve a [`LabelSpan`] from this runner's task table against its
@@ -317,10 +308,9 @@ impl Runner {
         self.ensure_recruitment();
         while self.pool.len() < self.pool.fill_target() {
             self.ensure_recruitment();
-            let Some((_, ev)) = self.queue.pop() else {
+            if !self.step() {
                 panic!("warm_up: event queue drained before pool filled");
-            };
-            self.handle(ev);
+            }
         }
     }
 
@@ -331,15 +321,13 @@ impl Runner {
         let start = self.now();
         self.started.get_or_insert(start);
 
-        self.batch_tasks.clear();
+        self.table.start_batch();
         for spec in specs {
             assert!(
                 spec.truths.iter().all(|&t| t < self.cfg.n_classes),
                 "task truth out of class range"
             );
-            let id = TaskId(self.task_base + self.tasks.len() as u32);
-            self.tasks.push(TaskState::new(spec, index, start));
-            self.batch_tasks.push(id);
+            self.table.push_task(TaskState::new(spec, index, start));
         }
 
         // When the pool runs below capacity (a `min_size` floor), promote
@@ -350,15 +338,14 @@ impl Runner {
 
         // Pump events until every task in the batch completes.
         while !self.batch_complete() {
-            let Some((_, ev)) = self.queue.pop() else {
+            if !self.step() {
                 panic!(
                     "run_batch: deadlock — queue drained with incomplete tasks \
                      (pool={}, in-flight recruits={})",
                     self.pool.len(),
                     self.recruits_in_flight
                 );
-            };
-            self.handle(ev);
+            }
         }
 
         let end = self.now();
@@ -414,31 +401,6 @@ impl Runner {
     // Streaming service mode: incremental report access + retirement
     // ------------------------------------------------------------------
 
-    /// Table index for a task id (ids are stream positions; lookups
-    /// subtract the retired-prefix base).
-    fn task_ix(&self, tid: TaskId) -> usize {
-        (tid.0 - self.task_base) as usize
-    }
-
-    /// Table index for an assignment id (see [`Self::task_ix`]).
-    fn assign_ix(&self, aid: AssignmentId) -> usize {
-        (aid.0 - self.assignment_base) as usize
-    }
-
-    /// The assignment for `aid` if it is still live; `None` for stale
-    /// ids. An id can be stale two ways — the assignment was terminated
-    /// or completed earlier, or its state was dropped by
-    /// [`Self::retire_completed`] — and retired assignments are all dead,
-    /// so both collapse into the same early return for queued
-    /// `AssignmentDone`/`Walkout` events.
-    fn live_assignment(&self, aid: AssignmentId) -> Option<Assignment> {
-        if aid.0 < self.assignment_base {
-            return None;
-        }
-        let a = self.assignments[(aid.0 - self.assignment_base) as usize];
-        a.is_live().then_some(a)
-    }
-
     /// Task records logged so far and not yet retired, in completion
     /// order. Streaming checkpoints fold the suffix that appeared since
     /// the previous boundary.
@@ -487,9 +449,9 @@ impl Runner {
     /// Retire all completed-task state, keeping streamed-run memory
     /// bounded: discards the report rows accumulated since the last
     /// retirement (fold them from [`Self::task_records`] and friends
-    /// first), clears the task/assignment tables, and bumps the id
-    /// bases. Every vector keeps its capacity, so steady-state batches
-    /// stop allocating.
+    /// first) and retires the task table ([`TaskTable::retire`]: the
+    /// tables clear and the id bases move past them). Every vector keeps
+    /// its capacity, so steady-state batches stop allocating.
     ///
     /// Only callable at a batch boundary, when every admitted task has
     /// completed — which also means every assignment is dead
@@ -499,19 +461,7 @@ impl Runner {
     /// [`Runner::finish`] still reports them correctly; only the row
     /// vectors come back empty in retire mode.
     pub fn retire_completed(&mut self) {
-        assert!(
-            self.tasks.iter().all(|t| t.completed_at.is_some()),
-            "retire_completed is a batch-boundary operation: every admitted task must be complete"
-        );
-        debug_assert!(
-            self.assignments.iter().all(|a| !a.is_live()),
-            "completed batches leave no live assignments"
-        );
-        self.task_base += self.tasks.len() as u32;
-        self.assignment_base += self.assignments.len() as u32;
-        self.tasks.clear();
-        self.assignments.clear();
-        self.batch_tasks.clear();
+        self.table.retire();
         // Every LabelSpan handle lives in the task table just cleared, so
         // the arena holds no reachable spans; clearing it (capacity kept)
         // is what makes streamed-run label memory bounded too.
@@ -524,6 +474,24 @@ impl Runner {
     // ------------------------------------------------------------------
     // Event handling
     // ------------------------------------------------------------------
+
+    /// Pop and handle the next event; `false` when the queue is empty.
+    fn step(&mut self) -> bool {
+        let Some((_, ev)) = self.queue.pop() else {
+            return false;
+        };
+        self.handle(ev);
+        true
+    }
+
+    /// Record a trace event at the current instant (a no-op when obs is
+    /// disabled).
+    #[inline]
+    fn trace(&mut self, kind: TraceKind) {
+        if let Some(obs) = &mut self.obs {
+            obs.record(self.queue.now(), kind);
+        }
+    }
 
     fn handle(&mut self, ev: Event) {
         if let Some(obs) = &mut self.obs {
@@ -588,12 +556,7 @@ impl Runner {
     pub fn advance(&mut self, dur: SimDuration) {
         let target = self.now() + dur;
         self.queue.schedule(target, Event::Nop);
-        while self.now() < target {
-            let Some((_, ev)) = self.queue.pop() else {
-                break;
-            };
-            self.handle(ev);
-        }
+        while self.now() < target && self.step() {}
     }
 
     fn on_worker_ready(&mut self) {
@@ -630,9 +593,7 @@ impl Runner {
         let now = self.now();
         self.platform.pay_wait(now.since(since));
         self.reserve_expired += 1;
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::ReserveTimeout { worker: w.0 });
-        }
+        self.trace(TraceKind::ReserveTimeout { worker: w.0 });
     }
 
     /// Promote the longest-waiting reserve worker (the lowest id, since
@@ -657,9 +618,7 @@ impl Runner {
             Seat { worker, idle: false, abandon_epoch: 0, patience, stats: WorkerStats::default() };
         let joined = self.pool.join(w, now, seat);
         debug_assert!(joined, "join_pool on full pool");
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::PoolJoin { worker: w.0, occupancy: self.pool.len() as u64 });
-        }
+        self.trace(TraceKind::PoolJoin { worker: w.0, occupancy: self.pool.len() as u64 });
         self.dispatch_worker(w);
     }
 
@@ -689,12 +648,7 @@ impl Runner {
     fn leave_pool(&mut self, w: WorkerId, now: SimTime) {
         if let Some(wait) = self.pool.leave(w, now) {
             self.platform.pay_wait(wait);
-            if let Some(obs) = &mut self.obs {
-                obs.record(
-                    now,
-                    TraceKind::PoolLeave { worker: w.0, occupancy: self.pool.len() as u64 },
-                );
-            }
+            self.trace(TraceKind::PoolLeave { worker: w.0, occupancy: self.pool.len() as u64 });
         }
     }
 
@@ -724,50 +678,38 @@ impl Runner {
     /// termination, the worker forfeits by leaving); the retainer slot
     /// and the worker's record go, and re-recruitment starts immediately.
     fn on_walkout(&mut self, aid: AssignmentId) {
-        let Some(a) = self.live_assignment(aid) else {
+        let Some(a) = self.table.live(aid) else {
             return; // terminated (straggler cap / completion) before walking
         };
         let now = self.now();
         let w = a.worker;
-        let aix = self.assign_ix(aid);
-        self.assignments[aix].terminated = Some(now);
-        let tix = self.task_ix(a.task);
-        self.tasks[tix].active.retain(|&x| x != aid);
-        self.assignment_records.push(AssignmentRecord {
-            task: a.task.0,
-            batch: self.tasks[tix].batch,
-            worker: w,
-            start: a.start,
-            end: now,
-            terminated: true,
-        });
+        self.table.assignment_mut(aid).terminated = Some(now);
+        self.table.task_mut(a.task).active.retain(|&x| x != aid);
+        self.record_assignment(&a, true);
         // The worker is gone for good: free the slot (no wait is owed
         // while working). The assignment ended above, so the invariant on
         // `Seat` holds once the record is dropped.
         self.leave_pool(w, now);
         self.workers_departed += 1;
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::Walkout { worker: w.0, task: a.task.0, assignment: aid.0 });
-        }
+        self.trace(TraceKind::Walkout { worker: w.0, task: a.task.0, assignment: aid.0 });
         self.refill_vacancy();
         // The abandoned task lost coverage: point idle workers at it.
         self.kick_idle();
     }
 
     fn on_assignment_done(&mut self, aid: AssignmentId) {
-        let Some(a) = self.live_assignment(aid) else {
+        let Some(a) = self.table.live(aid) else {
             return; // was terminated earlier (or retired); stale event
         };
         let now = self.now();
         let tid = a.task;
         let w = a.worker;
-        let tix = self.task_ix(tid);
-        let ng = self.tasks[tix].spec.ng();
 
         // Mark complete, detach from the task.
-        let aix = self.assign_ix(aid);
-        self.assignments[aix].completed = Some(now);
-        self.tasks[tix].active.retain(|&x| x != aid);
+        self.table.assignment_mut(aid).completed = Some(now);
+        let task = self.table.task_mut(tid);
+        task.active.retain(|&x| x != aid);
+        let ng = task.spec.ng();
 
         // Produce the answer and account it, through one member lookup.
         // The truths slice borrows straight out of the task table
@@ -779,7 +721,7 @@ impl Runner {
         // clamshell-lint: allow(D006) -- a live assignment's worker is always a pool member (invariant on `Seat`)
         let seat = self.pool.data_mut(w).expect("a live assignment's worker is a member");
         seat.worker.sample_labels_into(
-            &self.tasks[tix].spec.truths,
+            &self.table.task(tid).spec.truths,
             self.cfg.n_classes,
             &mut self.label_arena,
         );
@@ -787,7 +729,7 @@ impl Runner {
         seat.stats.record_completion(span.as_secs_f64(), ng);
         self.pool.finish_work(w, now);
         let labels = LabelSpan { start, len: self.label_arena.len() as u32 - start };
-        self.tasks[tix].responses.push(TaskResponse {
+        self.table.task_mut(tid).responses.push(TaskResponse {
             worker: w,
             labels,
             at: now,
@@ -797,29 +739,16 @@ impl Runner {
 
         self.platform.pay_records(ng as u64);
 
-        self.assignment_records.push(AssignmentRecord {
+        self.record_assignment(&a, false);
+        self.trace(TraceKind::AssignmentDone {
+            worker: w.0,
             task: tid.0,
-            batch: self.tasks[tix].batch,
-            worker: w,
-            start: a.start,
-            end: now,
-            terminated: false,
+            assignment: aid.0,
+            span_ms: span.as_millis(),
         });
-        if let Some(obs) = &mut self.obs {
-            obs.record(
-                now,
-                TraceKind::AssignmentDone {
-                    worker: w.0,
-                    task: tid.0,
-                    assignment: aid.0,
-                    span_ms: span.as_millis(),
-                },
-            );
-        }
 
         // Quorum check.
-        let responses = self.tasks[tix].responses.len();
-        if responses >= self.cfg.quorum as usize {
+        if self.table.task(tid).votes_needed(self.cfg.quorum) == 0 {
             self.complete_task(tid, w);
         } else {
             self.enforce_cap(tid, w);
@@ -839,8 +768,7 @@ impl Runner {
         let mut votes = std::mem::take(&mut self.votes_scratch);
         let mut finals = std::mem::take(&mut self.finals_scratch);
         finals.clear();
-        let tix = self.task_ix(tid);
-        let task = &self.tasks[tix];
+        let task = self.table.task(tid);
         let ng = task.spec.ng() as usize;
         for rec in 0..ng {
             votes.clear();
@@ -852,7 +780,7 @@ impl Runner {
             finals.push(majority_vote(&votes).expect("complete task has responses"));
         }
         self.votes_scratch = votes;
-        let task = &self.tasks[tix];
+        let task = self.table.task(tid);
         // Label accuracy against the simulator's ground truth (the
         // adversity experiments report the delta vs the benign baseline).
         let correct = finals.iter().zip(&task.spec.truths).filter(|(a, b)| a == b).count() as u32;
@@ -891,7 +819,7 @@ impl Runner {
         self.label_arena.extend_from_slice(&finals);
         self.finals_scratch = finals;
 
-        let task = &mut self.tasks[tix];
+        let task = self.table.task_mut(tid);
         task.completed_at = Some(now);
         task.final_labels = Some(finals_span);
         // Detach the leftover replicas by moving the vector out (no
@@ -902,12 +830,14 @@ impl Runner {
             self.terminate_assignment(aid, finisher);
         }
         leftovers.clear();
-        self.tasks[tix].active = leftovers;
+        let task = self.table.task_mut(tid);
+        task.active = leftovers;
+        let ng = task.spec.ng();
 
         self.task_records.push(TaskRecord {
             task: tid.0,
             batch,
-            ng: self.tasks[tix].spec.ng(),
+            ng,
             created,
             completed: now,
             winner,
@@ -921,11 +851,9 @@ impl Runner {
     /// concurrency to the new cap by terminating the longest-running
     /// (straggling) replicas.
     fn enforce_cap(&mut self, tid: TaskId, finisher: WorkerId) {
-        let tix = self.task_ix(tid);
-        let remaining = self.cfg.quorum.saturating_sub(self.tasks[tix].responses.len() as u32);
-        let cap = self.concurrency_cap(remaining);
+        let cap = self.concurrency_cap(self.table.task(tid).votes_needed(self.cfg.quorum));
         loop {
-            let task = &self.tasks[tix];
+            let task = self.table.task(tid);
             if task.active.len() <= cap {
                 break;
             }
@@ -934,10 +862,10 @@ impl Runner {
                 .active
                 .iter()
                 .copied()
-                .min_by_key(|&a| (self.assignments[(a.0 - self.assignment_base) as usize].start, a))
+                .min_by_key(|&a| (self.table.assignment(a).start, a))
                 // clamshell-lint: allow(D006) -- guarded above: this branch only runs when the task still has live replicas
                 .expect("non-empty active set");
-            self.tasks[tix].active.retain(|&x| x != oldest);
+            self.table.task_mut(tid).active.retain(|&x| x != oldest);
             self.terminate_assignment(oldest, finisher);
         }
     }
@@ -946,12 +874,10 @@ impl Runner {
     /// worker for partial work and freeing them after the dialog overhead.
     fn terminate_assignment(&mut self, aid: AssignmentId, caused_by: WorkerId) {
         let now = self.now();
-        let aix = self.assign_ix(aid);
-        let a = self.assignments[aix];
+        let a = *self.table.assignment(aid);
         debug_assert!(a.is_live(), "terminating a dead assignment");
-        self.assignments[aix].terminated = Some(now);
-        let atix = self.task_ix(a.task);
-        let ng = self.tasks[atix].spec.ng();
+        self.table.assignment_mut(aid).terminated = Some(now);
+        let ng = self.table.task(a.task).spec.ng();
         self.platform.pay_terminated(ng as u64);
         // TermEst evidence: the terminator's current empirical mean.
         let cause_mean = self
@@ -965,14 +891,7 @@ impl Runner {
         seat.stats.record_termination(cause_mean);
         self.pool.finish_work(a.worker, now);
 
-        self.assignment_records.push(AssignmentRecord {
-            task: a.task.0,
-            batch: self.tasks[atix].batch,
-            worker: a.worker,
-            start: a.start,
-            end: now,
-            terminated: true,
-        });
+        self.record_assignment(&a, true);
 
         // The worker clicks through the termination dialog, then is free.
         self.queue
@@ -1023,14 +942,12 @@ impl Runner {
         // 1. Must-fill: tasks with fewer live assignments than needed
         //    votes, in task order.
         let mut pick: Option<TaskId> = None;
-        for &tid in &self.batch_tasks {
-            let task = &self.tasks[(tid.0 - self.task_base) as usize];
+        for (tid, task) in self.table.batch() {
             if task.completed_at.is_some() {
                 continue;
             }
-            let remaining = self.cfg.quorum.saturating_sub(task.responses.len() as u32) as usize;
-            if task.active.len() < remaining
-                && !task.has_worker(w, &self.assignments, self.assignment_base)
+            if task.active.len() < task.votes_needed(self.cfg.quorum) as usize
+                && !self.table.has_worker(task, w)
             {
                 pick = Some(tid);
                 break;
@@ -1044,22 +961,19 @@ impl Runner {
             if let Some(sm) = self.cfg.straggler {
                 let mut eligible = std::mem::take(&mut self.eligible_scratch);
                 eligible.clear();
-                eligible.extend(self.batch_tasks.iter().copied().filter(|&tid| {
-                    let task = &self.tasks[(tid.0 - self.task_base) as usize];
-                    if task.completed_at.is_some() || task.active.is_empty() {
-                        return false;
-                    }
-                    let remaining = self.cfg.quorum.saturating_sub(task.responses.len() as u32);
-                    task.active.len() < self.concurrency_cap(remaining)
-                        && !task.has_worker(w, &self.assignments, self.assignment_base)
-                }));
-                let view = StateView {
-                    tasks: &self.tasks,
-                    assignments: &self.assignments,
-                    task_base: self.task_base,
-                    assignment_base: self.assignment_base,
-                };
-                pick = route(sm.routing, &eligible, &view, &mut self.rng);
+                eligible.extend(
+                    self.table
+                        .batch()
+                        .filter(|(_, task)| {
+                            task.completed_at.is_none()
+                                && !task.active.is_empty()
+                                && task.active.len()
+                                    < self.concurrency_cap(task.votes_needed(self.cfg.quorum))
+                                && !self.table.has_worker(task, w)
+                        })
+                        .map(|(tid, _)| tid),
+                );
+                pick = route(sm.routing, &eligible, &self.table, &mut self.rng);
                 self.eligible_scratch = eligible;
             }
         }
@@ -1086,16 +1000,13 @@ impl Runner {
         let now = self.now();
         self.leave_pool(w, now);
         self.stale_retired += 1;
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::StaleRetired { worker: w.0 });
-        }
+        self.trace(TraceKind::StaleRetired { worker: w.0 });
         self.refill_vacancy();
     }
 
     fn assign(&mut self, w: WorkerId, tid: TaskId) {
         let now = self.now();
-        let tix = self.task_ix(tid);
-        let ng = self.tasks[tix].spec.ng();
+        let ng = self.table.task(tid).spec.ng();
         let waited = self.pool.start_work(w, now);
         // clamshell-lint: allow(D006) -- dispatch only assigns pool members, and `start_work` just checked membership
         let seat = self.pool.data_mut(w).expect("assign: not a member");
@@ -1104,24 +1015,10 @@ impl Runner {
         seat.stats.started += 1;
         let dur = self.platform.sample_task_duration(&mut seat.worker, ng);
         self.platform.pay_wait(waited);
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::Checkout { worker: w.0, waited_ms: waited.as_millis() });
-        }
+        self.trace(TraceKind::Checkout { worker: w.0, waited_ms: waited.as_millis() });
 
-        let aid = AssignmentId(self.assignment_base + self.assignments.len() as u32);
-        self.assignments.push(Assignment {
-            id: aid,
-            task: tid,
-            worker: w,
-            start: now,
-            planned_end: now + dur,
-            terminated: None,
-            completed: None,
-        });
-        self.tasks[tix].active.push(aid);
-        if let Some(obs) = &mut self.obs {
-            obs.record(now, TraceKind::Dispatch { worker: w.0, task: tid.0, assignment: aid.0 });
-        }
+        let aid = self.table.push_assignment(tid, w, now, now + dur);
+        self.trace(TraceKind::Dispatch { worker: w.0, task: tid.0, assignment: aid.0 });
         // Churn fault: this assignment may end in a walkout instead of an
         // answer. Decided here, per assignment, from the dedicated churn
         // stream (two draws per affected assignment; zero impact on any
@@ -1144,9 +1041,19 @@ impl Runner {
     }
 
     fn batch_complete(&self) -> bool {
-        self.batch_tasks
-            .iter()
-            .all(|&tid| self.tasks[(tid.0 - self.task_base) as usize].completed_at.is_some())
+        self.table.batch().all(|(_, task)| task.completed_at.is_some())
+    }
+
+    /// Log the assignment record for `a`, which ends now.
+    fn record_assignment(&mut self, a: &Assignment, terminated: bool) {
+        self.assignment_records.push(AssignmentRecord {
+            task: a.task.0,
+            batch: self.table.task(a.task).batch,
+            worker: a.worker,
+            start: a.start,
+            end: self.now(),
+            terminated,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1185,13 +1092,12 @@ impl Runner {
             return;
         }
         let mut demand = 0usize;
-        for &tid in &self.batch_tasks {
-            let task = &self.tasks[(tid.0 - self.task_base) as usize];
+        for (_, task) in self.table.batch() {
             if task.completed_at.is_some() {
                 continue;
             }
-            let remaining = self.cfg.quorum.saturating_sub(task.responses.len() as u32) as usize;
-            demand += remaining.saturating_sub(task.active.len());
+            demand +=
+                (task.votes_needed(self.cfg.quorum) as usize).saturating_sub(task.active.len());
         }
         let mut need = demand.saturating_sub(self.idle_members().count());
         while need > 0 && self.pool.vacancies() > 0 && self.promote_reserve() {
@@ -1227,9 +1133,7 @@ impl Runner {
             self.leave_pool(w, now);
             self.workers_evicted += 1;
             self.evicted_this_boundary += 1;
-            if let Some(obs) = &mut self.obs {
-                obs.record(now, TraceKind::MaintenanceEvict { worker: w.0 });
-            }
+            self.trace(TraceKind::MaintenanceEvict { worker: w.0 });
             self.promote_reserve();
         }
         self.refill_vacancy();
@@ -1238,8 +1142,7 @@ impl Runner {
     fn record_batch_stats(&mut self, index: usize, start: SimTime, end: SimTime) {
         let mut lat = OnlineStats::new();
         let mut mpl = OnlineStats::new();
-        for &tid in &self.batch_tasks {
-            let task = &self.tasks[(tid.0 - self.task_base) as usize];
+        for (_, task) in self.table.batch() {
             if let Some(done) = task.completed_at {
                 lat.push(done.since(task.created).as_secs_f64());
             }
@@ -1251,7 +1154,7 @@ impl Runner {
             index,
             start,
             end,
-            tasks: self.batch_tasks.len(),
+            tasks: self.table.batch().len(),
             task_latency_std: lat.std(),
             task_latency_mean: lat.mean(),
             mpl: mpl.mean(),
@@ -1515,10 +1418,7 @@ mod tests {
         r.run_batch(specs(8, 5));
         // Land the in-flight reserve recruits so the drain has real
         // reserve wait to settle.
-        while r.reserve.len() < 3 {
-            let Some((_, ev)) = r.queue.pop() else { break };
-            r.handle(ev);
-        }
+        while r.reserve.len() < 3 && r.step() {}
         assert!(!r.reserve.is_empty(), "reserve must be non-empty at drain");
         let now = r.now();
         let mut expected = r.platform.ledger().wait_micro;
@@ -1553,8 +1453,7 @@ mod tests {
         // Land at least one reserve recruit so evictions have a
         // replacement available.
         while r.reserve.is_empty() {
-            let (_, ev) = r.queue.pop().expect("recruits in flight");
-            r.handle(ev);
+            assert!(r.step(), "recruits in flight");
         }
         // Damning latency evidence for every member, then put one to work
         // across the boundary.
@@ -1680,8 +1579,7 @@ mod tests {
         r.warm_up();
         assert_eq!(r.pool.len(), 2);
         while r.reserve.len() < 6 {
-            let (_, ev) = r.queue.pop().expect("recruits in flight");
-            r.handle(ev);
+            assert!(r.step(), "recruits in flight");
         }
         r.run_batch(specs(8, 5));
         assert!(

@@ -130,22 +130,10 @@ impl TaskState {
         }
     }
 
-    /// Whether `worker` already holds or held a live/completed assignment
-    /// for this task (a worker never works the same task twice).
-    /// `assignment_base` is the id of `assignments[0]` — zero for a
-    /// whole-run table, non-zero once the runner has retired completed
-    /// state (see [`StateView`]).
-    pub fn has_worker(
-        &self,
-        worker: WorkerId,
-        assignments: &[Assignment],
-        assignment_base: u32,
-    ) -> bool {
-        self.responses.iter().any(|r| r.worker == worker)
-            || self
-                .active
-                .iter()
-                .any(|&a| assignments[(a.0 - assignment_base) as usize].worker == worker)
+    /// Answers still needed before the task reaches a `quorum` of votes
+    /// (zero once it has).
+    pub fn votes_needed(&self, quorum: u32) -> u32 {
+        quorum.saturating_sub(self.responses.len() as u32)
     }
 }
 
@@ -168,42 +156,145 @@ pub struct Assignment {
     pub completed: Option<SimTime>,
 }
 
-/// A borrowed, base-offset view over the runner's task and assignment
-/// tables.
+/// The runner's task and assignment tables, addressed by id.
 ///
 /// Ids ([`TaskId`], [`AssignmentId`]) are *stream positions*: they keep
 /// growing for the lifetime of a run. In batch mode they coincide with
-/// table indices, but the streaming service mode retires completed-task
-/// state at batch boundaries to keep memory bounded, after which the
-/// tables hold only the live tail and `tasks[0]` has id `task_base`.
-/// This view packages the slices with their bases so policy code (e.g.
-/// [`route`](crate::lifeguard::route)) resolves ids identically in both
-/// modes.
-pub struct StateView<'a> {
-    /// The (possibly retired-prefix) task table.
-    pub tasks: &'a [TaskState],
-    /// The (possibly retired-prefix) assignment table.
-    pub assignments: &'a [Assignment],
+/// table indices, but the streaming service mode retires completed state
+/// at batch boundaries ([`TaskTable::retire`]) to keep memory bounded,
+/// after which the tables hold only the live tail and `tasks[0]` has id
+/// `task_base`. Every id lookup goes through this type, so runner and
+/// policy code (e.g. [`route`](crate::lifeguard::route)) resolve ids the
+/// same way in both modes.
+///
+/// The current batch is the task table's tail: a batch's ids are
+/// consecutive, and every earlier task is complete when the next batch
+/// starts.
+#[derive(Debug, Default)]
+pub struct TaskTable {
+    tasks: Vec<TaskState>,
+    assignments: Vec<Assignment>,
     /// Id of `tasks[0]`.
-    pub task_base: u32,
+    task_base: u32,
     /// Id of `assignments[0]`.
-    pub assignment_base: u32,
+    assignment_base: u32,
+    /// Index in `tasks` of the current batch's first task.
+    batch_start: usize,
 }
 
-impl<'a> StateView<'a> {
-    /// A view over whole-run tables (ids are plain indices).
-    pub fn full(tasks: &'a [TaskState], assignments: &'a [Assignment]) -> Self {
-        StateView { tasks, assignments, task_base: 0, assignment_base: 0 }
+impl TaskTable {
+    /// Every task state held: the current batch and the completed tasks
+    /// not yet retired, in id order.
+    pub fn tasks(&self) -> &[TaskState] {
+        &self.tasks
     }
 
     /// Resolve a task id.
-    pub fn task(&self, id: TaskId) -> &'a TaskState {
+    pub fn task(&self, id: TaskId) -> &TaskState {
         &self.tasks[(id.0 - self.task_base) as usize]
     }
 
+    pub(crate) fn task_mut(&mut self, id: TaskId) -> &mut TaskState {
+        &mut self.tasks[(id.0 - self.task_base) as usize]
+    }
+
     /// Resolve an assignment id.
-    pub fn assignment(&self, id: AssignmentId) -> &'a Assignment {
+    pub fn assignment(&self, id: AssignmentId) -> &Assignment {
         &self.assignments[(id.0 - self.assignment_base) as usize]
+    }
+
+    pub(crate) fn assignment_mut(&mut self, id: AssignmentId) -> &mut Assignment {
+        &mut self.assignments[(id.0 - self.assignment_base) as usize]
+    }
+
+    /// The assignment for `id` if it is still live; `None` for stale
+    /// ids. An id can be stale two ways — the assignment was terminated
+    /// or completed earlier, or [`TaskTable::retire`] dropped it — and
+    /// retired assignments are all dead, so both read as dead.
+    pub fn live(&self, id: AssignmentId) -> Option<Assignment> {
+        let ix = id.0.checked_sub(self.assignment_base)?;
+        let a = self.assignments[ix as usize];
+        a.is_live().then_some(a)
+    }
+
+    /// Whether `worker` already holds or held a live/completed assignment
+    /// for `task` (a worker never works the same task twice).
+    pub fn has_worker(&self, task: &TaskState, worker: WorkerId) -> bool {
+        task.responses.iter().any(|r| r.worker == worker)
+            || task.active.iter().any(|&a| self.assignment(a).worker == worker)
+    }
+
+    /// The current batch's tasks with their ids, in id order.
+    pub fn batch(&self) -> impl ExactSizeIterator<Item = (TaskId, &TaskState)> {
+        let first = self.task_base + self.batch_start as u32;
+        self.tasks[self.batch_start..]
+            .iter()
+            .enumerate()
+            .map(move |(i, t)| (TaskId(first + i as u32), t))
+    }
+
+    /// Begin a new batch: the tasks pushed from now on form it.
+    pub(crate) fn start_batch(&mut self) {
+        self.batch_start = self.tasks.len();
+    }
+
+    /// Append a task; returns its id.
+    pub(crate) fn push_task(&mut self, state: TaskState) -> TaskId {
+        let id = TaskId(self.task_base + self.tasks.len() as u32);
+        self.tasks.push(state);
+        id
+    }
+
+    /// Append a live assignment of `task` to `worker` and attach it to
+    /// the task's active set; returns its id.
+    pub(crate) fn push_assignment(
+        &mut self,
+        task: TaskId,
+        worker: WorkerId,
+        start: SimTime,
+        planned_end: SimTime,
+    ) -> AssignmentId {
+        let id = AssignmentId(self.assignment_base + self.assignments.len() as u32);
+        self.assignments.push(Assignment {
+            id,
+            task,
+            worker,
+            start,
+            planned_end,
+            terminated: None,
+            completed: None,
+        });
+        self.task_mut(task).active.push(id);
+        id
+    }
+
+    /// Pre-size the tables for `tasks` more tasks and `assignments` more
+    /// assignments.
+    pub(crate) fn reserve(&mut self, tasks: usize, assignments: usize) {
+        self.tasks.reserve(tasks);
+        self.assignments.reserve(assignments);
+    }
+
+    /// Drop every task and assignment (capacity kept) and move the id
+    /// bases past them, so later ids keep counting up.
+    ///
+    /// Only valid at a batch boundary, when every task is complete —
+    /// which also means every assignment is dead (a task's leftover
+    /// replicas are terminated when it completes).
+    pub(crate) fn retire(&mut self) {
+        assert!(
+            self.tasks.iter().all(|t| t.completed_at.is_some()),
+            "retirement is a batch-boundary operation: every admitted task must be complete"
+        );
+        debug_assert!(
+            self.assignments.iter().all(|a| !a.is_live()),
+            "completed batches leave no live assignments"
+        );
+        self.task_base += self.tasks.len() as u32;
+        self.assignment_base += self.assignments.len() as u32;
+        self.tasks.clear();
+        self.assignments.clear();
+        self.batch_start = 0;
     }
 }
 
@@ -217,6 +308,28 @@ impl Assignment {
     /// early, completed, or `None` if still live).
     pub fn span(&self) -> Option<SimDuration> {
         self.terminated.or(self.completed).map(|end| end.since(self.start))
+    }
+}
+
+#[cfg(test)]
+impl TaskTable {
+    /// An empty table whose first `tasks` tasks and `assignments`
+    /// assignments ran to completion and were retired, so new ids start
+    /// at those bases.
+    pub(crate) fn after_retiring(tasks: u32, assignments: u32) -> Self {
+        let mut table = TaskTable::default();
+        let at = SimTime::ZERO;
+        for _ in 0..tasks {
+            let id = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, at));
+            table.task_mut(id).completed_at = Some(at);
+        }
+        for _ in 0..assignments {
+            let id = table.push_assignment(TaskId(0), WorkerId(0), at, at);
+            table.assignment_mut(id).completed = Some(at);
+            table.task_mut(TaskId(0)).active.clear();
+        }
+        table.retire();
+        table
     }
 }
 
@@ -255,57 +368,85 @@ mod tests {
 
     #[test]
     fn has_worker_checks_both_live_and_answered() {
-        let mut ts = TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
-        let assignments = vec![Assignment {
-            id: AssignmentId(0),
-            task: TaskId(0),
-            worker: WorkerId(7),
-            start: t(0),
-            planned_end: t(10),
-            terminated: None,
-            completed: None,
-        }];
-        assert!(!ts.has_worker(WorkerId(7), &assignments, 0));
-        ts.active.push(AssignmentId(0));
-        assert!(ts.has_worker(WorkerId(7), &assignments, 0));
-        ts.active.clear();
-        ts.responses.push(TaskResponse {
+        let mut table = TaskTable::default();
+        let tid = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, t(0)));
+        assert!(!table.has_worker(table.task(tid), WorkerId(7)));
+        table.push_assignment(tid, WorkerId(7), t(0), t(10));
+        assert!(table.has_worker(table.task(tid), WorkerId(7)));
+        let task = table.task_mut(tid);
+        task.active.clear();
+        task.responses.push(TaskResponse {
             worker: WorkerId(7),
             labels: LabelSpan::empty(),
             at: t(3),
             latency: SimDuration::from_secs(3),
             worker_age: 0,
         });
-        assert!(ts.has_worker(WorkerId(7), &assignments, 0));
-        assert!(!ts.has_worker(WorkerId(8), &assignments, 0));
+        assert!(table.has_worker(table.task(tid), WorkerId(7)));
+        assert!(!table.has_worker(table.task(tid), WorkerId(8)));
     }
 
     #[test]
-    fn state_view_resolves_base_offset_ids() {
-        let a = Assignment {
-            id: AssignmentId(5),
-            task: TaskId(3),
-            worker: WorkerId(9),
-            start: t(1),
-            planned_end: t(2),
-            terminated: None,
-            completed: None,
+    fn votes_needed_counts_down_to_zero() {
+        let mut ts = TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
+        assert_eq!(ts.votes_needed(2), 2);
+        let answer = TaskResponse {
+            worker: WorkerId(1),
+            labels: LabelSpan::empty(),
+            at: t(1),
+            latency: SimDuration::from_secs(1),
+            worker_age: 0,
         };
-        let mut ts = TaskState::new(TaskSpec::new(vec![0]), 2, t(0));
-        ts.active.push(AssignmentId(5));
-        let tasks = vec![ts];
-        let assignments = vec![a];
-        let view = StateView {
-            tasks: &tasks,
-            assignments: &assignments,
-            task_base: 3,
-            assignment_base: 5,
-        };
-        assert_eq!(view.task(TaskId(3)).batch, 2);
-        assert_eq!(view.assignment(AssignmentId(5)).worker, WorkerId(9));
-        assert!(tasks[0].has_worker(WorkerId(9), &assignments, 5));
-        let full = StateView::full(&tasks, &assignments);
-        assert_eq!(full.task_base, 0);
+        ts.responses.push(answer.clone());
+        assert_eq!(ts.votes_needed(2), 1);
+        ts.responses.push(answer.clone());
+        ts.responses.push(answer);
+        assert_eq!(ts.votes_needed(2), 0, "extra answers never underflow");
+    }
+
+    #[test]
+    fn table_resolves_ids_past_a_retired_prefix() {
+        let mut table = TaskTable::after_retiring(3, 5);
+        let tid = table.push_task(TaskState::new(TaskSpec::new(vec![0]), 2, t(0)));
+        let aid = table.push_assignment(tid, WorkerId(9), t(1), t(2));
+        assert_eq!((tid, aid), (TaskId(3), AssignmentId(5)), "ids keep counting past the prefix");
+        assert_eq!(table.task(TaskId(3)).batch, 2);
+        assert_eq!(table.assignment(AssignmentId(5)).worker, WorkerId(9));
+        assert_eq!(table.task(tid).active, vec![aid]);
+        assert!(table.has_worker(table.task(tid), WorkerId(9)));
+        assert_eq!(table.live(aid).map(|a| a.task), Some(tid));
+        assert_eq!(table.live(AssignmentId(4)), None, "retired assignments read as dead");
+        table.assignment_mut(aid).completed = Some(t(2));
+        assert_eq!(table.live(aid), None, "ended assignments read as dead");
+    }
+
+    #[test]
+    fn batch_is_the_table_tail_and_retire_resets_it() {
+        let mut table = TaskTable::default();
+        let spec = || TaskState::new(TaskSpec::new(vec![0]), 0, t(0));
+        table.push_task(spec());
+        table.start_batch();
+        table.push_task(spec());
+        table.push_task(spec());
+        let ids: Vec<TaskId> = table.batch().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![TaskId(1), TaskId(2)]);
+        for id in 0..3 {
+            table.task_mut(TaskId(id)).completed_at = Some(t(1));
+        }
+        table.retire();
+        assert_eq!(table.batch().len(), 0);
+        table.start_batch();
+        table.push_task(spec());
+        let ids: Vec<TaskId> = table.batch().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![TaskId(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every admitted task must be complete")]
+    fn retire_rejects_incomplete_tasks() {
+        let mut table = TaskTable::default();
+        table.push_task(TaskState::new(TaskSpec::new(vec![0]), 0, t(0)));
+        table.retire();
     }
 
     #[test]
