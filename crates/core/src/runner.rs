@@ -449,7 +449,7 @@ impl Runner {
     /// Retire all completed-task state, keeping streamed-run memory
     /// bounded: discards the report rows accumulated since the last
     /// retirement (fold them from [`Self::task_records`] and friends
-    /// first) and retires the task table ([`TaskTable::retire`]: the
+    /// first) and retires the task table (`TaskTable::retire`: the
     /// tables clear and the id bases move past them). Every vector keeps
     /// its capacity, so steady-state batches stop allocating.
     ///

@@ -161,7 +161,7 @@ pub struct Assignment {
 /// Ids ([`TaskId`], [`AssignmentId`]) are *stream positions*: they keep
 /// growing for the lifetime of a run. In batch mode they coincide with
 /// table indices, but the streaming service mode retires completed state
-/// at batch boundaries ([`TaskTable::retire`]) to keep memory bounded,
+/// at batch boundaries (`TaskTable::retire`) to keep memory bounded,
 /// after which the tables hold only the live tail and `tasks[0]` has id
 /// `task_base`. Every id lookup goes through this type, so runner and
 /// policy code (e.g. [`route`](crate::lifeguard::route)) resolve ids the
@@ -209,7 +209,7 @@ impl TaskTable {
 
     /// The assignment for `id` if it is still live; `None` for stale
     /// ids. An id can be stale two ways — the assignment was terminated
-    /// or completed earlier, or [`TaskTable::retire`] dropped it — and
+    /// or completed earlier, or `TaskTable::retire` dropped it — and
     /// retired assignments are all dead, so both read as dead.
     pub fn live(&self, id: AssignmentId) -> Option<Assignment> {
         let ix = id.0.checked_sub(self.assignment_base)?;
