@@ -1,7 +1,9 @@
 //! The `repro` command line's error edge: a bad flag value ends the
 //! program with exit code 2 and a one-line message on stderr, never a
-//! panic (exit 101 and a backtrace hint). Every case here is rejected
-//! while parsing, before any experiment runs.
+//! panic (exit 101 and a backtrace hint). Most cases are rejected while
+//! parsing, before any experiment runs; the rest fail once the run
+//! starts (an unknown scenario name, a trace file that cannot be
+//! written).
 
 use std::process::Command;
 
@@ -73,5 +75,10 @@ fn trace_io_errors_print_without_the_list_hint() {
     assert_fails_at_run(
         &["--scenario", "churn", "--quick", "--trace", "/dev/full"],
         "cannot write trace: No space left on device (os error 28)",
+    );
+    let missing = format!("{}/no-such-dir/t.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    assert_fails_at_run(
+        &["--scenario", "churn", "--quick", "--trace", &missing],
+        &format!("cannot create trace file {missing}: No such file or directory (os error 2)"),
     );
 }

@@ -365,7 +365,7 @@ impl Runner {
         let now = self.now();
         let members: Vec<WorkerId> = self.pool.members().map(|(w, _)| w).collect();
         for w in members {
-            self.leave_pool(w, now);
+            self.leave_pool(w);
         }
         for (since, _) in std::mem::take(&mut self.reserve).into_values() {
             self.platform.pay_wait(now.since(since));
@@ -636,7 +636,7 @@ impl Runner {
             return;
         }
         // The worker walks away from the retainer task.
-        self.leave_pool(w, self.now());
+        self.leave_pool(w);
         self.refill_vacancy();
     }
 
@@ -645,8 +645,8 @@ impl Runner {
     /// last became idle (none while working) and record `PoolLeave` with
     /// the post-departure occupancy. A no-op for a worker who is not a
     /// member.
-    fn leave_pool(&mut self, w: WorkerId, now: SimTime) {
-        if let Some(wait) = self.pool.leave(w, now) {
+    fn leave_pool(&mut self, w: WorkerId) {
+        if let Some(wait) = self.pool.leave(w, self.now()) {
             self.platform.pay_wait(wait);
             self.trace(TraceKind::PoolLeave { worker: w.0, occupancy: self.pool.len() as u64 });
         }
@@ -689,7 +689,7 @@ impl Runner {
         // The worker is gone for good: free the slot (no wait is owed
         // while working). The assignment ended above, so the invariant on
         // `Seat` holds once the record is dropped.
-        self.leave_pool(w, now);
+        self.leave_pool(w);
         self.workers_departed += 1;
         self.trace(TraceKind::Walkout { worker: w.0, task: a.task.0, assignment: aid.0 });
         self.refill_vacancy();
@@ -997,8 +997,7 @@ impl Runner {
     /// settle their outstanding wait, free the slot, and backfill from
     /// the reserve or recruitment.
     fn retire_stale(&mut self, w: WorkerId) {
-        let now = self.now();
-        self.leave_pool(w, now);
+        self.leave_pool(w);
         self.stale_retired += 1;
         self.trace(TraceKind::StaleRetired { worker: w.0 });
         self.refill_vacancy();
@@ -1129,8 +1128,7 @@ impl Runner {
             if self.reserve.is_empty() {
                 break;
             }
-            let now = self.now();
-            self.leave_pool(w, now);
+            self.leave_pool(w);
             self.workers_evicted += 1;
             self.evicted_this_boundary += 1;
             self.trace(TraceKind::MaintenanceEvict { worker: w.0 });
