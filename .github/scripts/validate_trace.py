@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a clamshell-trace JSONL file against the v1 schema.
 
-Checks what the in-crate tests cannot (the vendored serde_json has no
+Checks what the in-crate tests cannot (the workspace has no JSON
 parser): every line is valid JSON, headers and events carry exactly the
 documented fields, sequence numbers are contiguous per cell, and each
 header's event count matches the lines that follow it.

@@ -32,7 +32,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use clamshell_bench::{extra_registry, registry, util::Opts};
-use clamshell_obs::json_str;
+use clamshell_sim::json;
 
 /// Usage text shared by `--help` and the no-argument listing.
 const USAGE: &str = "\
@@ -219,8 +219,8 @@ fn main() {
                     .map(|(name, desc, _)| {
                         format!(
                             "\n    {{\"name\": {}, \"description\": {}}}",
-                            json_str(name),
-                            json_str(desc)
+                            json::to_string(name),
+                            json::to_string(desc)
                         )
                     })
                     .collect::<Vec<_>>()

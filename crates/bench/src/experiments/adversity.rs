@@ -15,8 +15,9 @@
 use crate::util::{f2, header, ratio, row, Opts};
 use clamshell_core::metrics::RunReport;
 use clamshell_core::RunConfig;
-use clamshell_obs::{json_str, ObsConfig};
+use clamshell_obs::ObsConfig;
 use clamshell_scenarios::{catalog, find, ScenarioDef};
+use clamshell_sim::json;
 use clamshell_sweep::{Grid, JobMeta};
 use clamshell_trace::Population;
 use std::io::Write;
@@ -139,7 +140,7 @@ fn json_rows(defs: &[&ScenarioDef], rows: &[Vec<Scalars>]) -> String {
         out.push_str(&format!(
             "        {{\"scenario\": {}, \"accuracy\": {acc:.4}, \"latency_secs\": {lat:.3}, \
              \"cost_usd\": {cost:.4}, \"workers_departed\": {departed:.2}}}",
-            json_str(def.name)
+            json::to_string(def.name)
         ));
     }
     out
@@ -201,8 +202,8 @@ pub fn scenario_mode(
             json_sections.push_str(if k == 0 { "\n" } else { ",\n" });
             json_sections.push_str(&format!(
                 "    {{\"name\": {}, \"summary\": {}, \"rows\": [{}\n    ]}}",
-                json_str(def.name),
-                json_str(def.summary),
+                json::to_string(def.name),
+                json::to_string(def.summary),
                 json_rows(&defs, &rows)
             ));
         } else {
@@ -307,7 +308,7 @@ mod tests {
                 assert_eq!(r.obs.is_some(), obs.enabled);
                 let mut stripped = r.clone();
                 stripped.obs = None;
-                reports.push(serde_json::to_string(&stripped).unwrap());
+                reports.push(json::to_string(&stripped));
             });
             (reports, rows)
         };

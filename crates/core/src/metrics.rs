@@ -4,10 +4,9 @@ use clamshell_crowd::{CostLedger, WorkerId};
 use clamshell_obs::{Fnv, ObsReport};
 use clamshell_sim::stats::Summary;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// One completed task, as logged for Figures 3, 5, 10, 13.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaskRecord {
     /// Task index within the run.
     pub task: u32,
@@ -30,6 +29,10 @@ pub struct TaskRecord {
     /// truth — the numerator of run-level label accuracy, which the
     /// adversity experiments report against the benign baseline.
     pub correct: u32,
+}
+
+clamshell_sim::json_struct! {
+    TaskRecord { task, batch, ng, created, completed, winner, winner_span, winner_age, correct }
 }
 
 impl TaskRecord {
@@ -62,7 +65,7 @@ impl TaskRecord {
 }
 
 /// One assignment, as logged for Figure 13's Gantt view.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AssignmentRecord {
     /// Task index.
     pub task: u32,
@@ -78,6 +81,8 @@ pub struct AssignmentRecord {
     pub terminated: bool,
 }
 
+clamshell_sim::json_struct!(AssignmentRecord { task, batch, worker, start, end, terminated });
+
 impl AssignmentRecord {
     /// Hash the row's identity words into `h` (see
     /// [`TaskRecord::digest_into`]); `batch` follows from `task`.
@@ -92,7 +97,7 @@ impl AssignmentRecord {
 }
 
 /// Per-batch aggregates (Figures 6, 9).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchStats {
     /// Batch index.
     pub index: usize,
@@ -111,6 +116,10 @@ pub struct BatchStats {
     pub mpl: f64,
     /// Workers evicted by maintenance at this batch boundary (Figure 7).
     pub evicted: usize,
+}
+
+clamshell_sim::json_struct! {
+    BatchStats { index, start, end, tasks, task_latency_std, task_latency_mean, mpl, evicted }
 }
 
 impl BatchStats {
@@ -133,7 +142,7 @@ impl BatchStats {
 }
 
 /// The full output of a labeling run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-task log.
     pub tasks: Vec<TaskRecord>,
@@ -163,6 +172,11 @@ pub struct RunReport {
     /// Observability report (metrics snapshot + flight-recorder tail);
     /// `None` unless `RunConfig::obs.enabled`.
     pub obs: Option<ObsReport>,
+}
+
+clamshell_sim::json_struct! {
+    RunReport { tasks, assignments, batches, cost, workers_recruited, workers_evicted,
+        workers_departed, reserve_expired, stale_retired, started, finished, obs }
 }
 
 impl RunReport {

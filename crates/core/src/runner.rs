@@ -1243,6 +1243,7 @@ pub fn run_batched(
 mod tests {
     use super::*;
     use crate::config::MaintenanceConfig;
+    use clamshell_sim::json;
 
     fn specs(n: usize, ng: usize) -> Vec<TaskSpec> {
         (0..n).map(|i| TaskSpec::new(vec![(i % 2) as u32; ng])).collect()
@@ -1287,14 +1288,14 @@ mod tests {
     fn deterministic_reports() {
         let a = run_batched(base_cfg(7), pop(), specs(16, 5), 8);
         let b = run_batched(base_cfg(7), pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(json::to_string(&a), json::to_string(&b));
     }
 
     #[test]
     fn seeds_change_outcomes() {
         let a = run_batched(base_cfg(8), pop(), specs(16, 5), 8);
         let b = run_batched(base_cfg(9), pop(), specs(16, 5), 8);
-        assert_ne!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_ne!(json::to_string(&a), json::to_string(&b));
     }
 
     #[test]
@@ -1490,7 +1491,7 @@ mod tests {
         };
         let a = run_batched(base_cfg(30), pop(), specs(16, 5), 8);
         let b = run_batched(explicit, pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(json::to_string(&a), json::to_string(&b));
         assert_eq!(a.reserve_expired, 0);
         assert_eq!(a.stale_retired, 0);
     }
@@ -1504,13 +1505,10 @@ mod tests {
         let fifo = run_batched(base_cfg(37), pop(), specs(24, 5), 4);
         let lifo_a = run_batched(lifo_cfg(), pop(), specs(24, 5), 4);
         let lifo_b = run_batched(lifo_cfg(), pop(), specs(24, 5), 4);
-        assert_eq!(
-            serde_json::to_string(&lifo_a).unwrap(),
-            serde_json::to_string(&lifo_b).unwrap()
-        );
+        assert_eq!(json::to_string(&lifo_a), json::to_string(&lifo_b));
         assert_ne!(
-            serde_json::to_string(&fifo).unwrap(),
-            serde_json::to_string(&lifo_a).unwrap(),
+            json::to_string(&fifo),
+            json::to_string(&lifo_a),
             "with 8 members and 4-task batches, checkout order must matter"
         );
         assert_eq!(lifo_a.tasks.len(), 24, "every task completes under LIFO too");
@@ -1544,7 +1542,7 @@ mod tests {
         assert!(report.reserve_expired > 0, "a 30s timeout must release reserve workers");
         assert_eq!(report.tasks.len(), 16, "releases never block completion");
         let again = run();
-        assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&again).unwrap());
+        assert_eq!(json::to_string(&report), json::to_string(&again));
     }
 
     #[test]
@@ -1612,10 +1610,7 @@ mod tests {
         let mut instrumented = run_batched(cfg, pop(), specs(16, 5), 8);
         let obs = instrumented.obs.take().expect("enabled run must attach obs");
         assert!(!obs.events.is_empty(), "an instrumented run records events");
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&instrumented).unwrap()
-        );
+        assert_eq!(json::to_string(&plain), json::to_string(&instrumented));
     }
 
     #[test]
@@ -1678,10 +1673,7 @@ mod tests {
     fn empty_adversity_is_bit_identical_to_none() {
         let plain = run_batched(base_cfg(20), pop(), specs(16, 5), 8);
         let layered = run_batched(adv_cfg(20, AdversityConfig::NONE), pop(), specs(16, 5), 8);
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&layered).unwrap()
-        );
+        assert_eq!(json::to_string(&plain), json::to_string(&layered));
     }
 
     #[test]
@@ -1714,7 +1706,7 @@ mod tests {
         };
         let a = run_batched(cfg(), pop(), specs(16, 5), 8);
         let b = run_batched(cfg(), pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(json::to_string(&a), json::to_string(&b));
     }
 
     #[test]
@@ -1760,7 +1752,7 @@ mod tests {
         );
         assert_eq!(report.tasks.len(), 24, "lazy retirement never blocks completion");
         let again = run_batched(cfg(), pop(), specs(24, 5), 8);
-        assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&again).unwrap());
+        assert_eq!(json::to_string(&report), json::to_string(&again));
         // Generations off: same outage schedule, zero retirements.
         let plain = RunConfig { pool: PoolConfig::default(), ..cfg() };
         let baseline = run_batched(plain, pop(), specs(24, 5), 8);
@@ -1806,7 +1798,7 @@ mod tests {
         let a = run_batched(cfg(), pop(), specs(24, 5), 8);
         let b = run_batched(cfg(), pop(), specs(24, 5), 8);
         assert_eq!(a.tasks.len(), 24);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(json::to_string(&a), json::to_string(&b));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! deterministic across summation orders.
 
 use clamshell_sim::time::SimDuration;
-use serde::Serialize;
 
 /// Micro-dollars (1e-6 USD) as an integer, so ledgers add associatively.
 pub type MicroUsd = u64;
@@ -19,7 +18,7 @@ pub fn usd(d: f64) -> MicroUsd {
 }
 
 /// Cost ledger with the paper's three payment buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostLedger {
     /// Wages for waiting in the retainer pool ($0.05/min in §6.1).
     pub wait_micro: MicroUsd,
@@ -28,6 +27,8 @@ pub struct CostLedger {
     /// Recruitment posting costs.
     pub recruit_micro: MicroUsd,
 }
+
+clamshell_sim::json_struct!(CostLedger { wait_micro, work_micro, recruit_micro });
 
 impl CostLedger {
     /// Fresh, empty ledger.

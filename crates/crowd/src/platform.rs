@@ -13,15 +13,22 @@
 
 use crate::payment::CostLedger;
 use clamshell_sim::dist::{Exponential, Sample};
+use clamshell_sim::json::ToJson;
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimDuration;
 use clamshell_trace::{Population, WorkerProfile};
-use serde::Serialize;
 
 /// Opaque identifier of a recruited worker. Ordered, so collections keyed
 /// by `WorkerId` iterate deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub u32);
+
+/// Writes as the bare id.
+impl ToJson for WorkerId {
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
+    }
+}
 
 impl std::fmt::Display for WorkerId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -148,7 +148,7 @@ mod tests {
         let spec = classify(root, Path::new("/ws/examples/quickstart.rs")).expect("example");
         assert_eq!(spec.kind, FileKind::Examples);
 
-        assert!(classify(root, Path::new("/ws/vendor/serde/src/lib.rs")).is_none());
+        assert!(classify(root, Path::new("/ws/vendor/proptest/src/lib.rs")).is_none());
         assert!(classify(root, Path::new("/elsewhere/src/lib.rs")).is_none());
     }
 }

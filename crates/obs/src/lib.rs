@@ -33,4 +33,4 @@ pub use name::{names, EventName, MetricName};
 pub use observer::{ObsReport, RunObserver};
 pub use recorder::{FlightRecorder, TraceEvent, TraceKind};
 pub use registry::{Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use trace::{fingerprint_hex, json_str, Fnv, TRACE_SCHEMA_VERSION};
+pub use trace::{fingerprint_hex, Fnv, TRACE_SCHEMA_VERSION};

@@ -4,7 +4,6 @@
 use std::io::Write;
 
 use clamshell_sim::time::SimTime;
-use serde::Serialize;
 
 use crate::config::ObsConfig;
 use crate::name::{names, MetricName};
@@ -144,7 +143,7 @@ impl RunObserver {
 /// The serializable observability report attached to `RunReport` when
 /// obs is enabled (`None` otherwise, keeping disabled reports
 /// byte-identical to pre-obs builds).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsReport {
     /// Trace schema version the events were recorded under.
     pub schema: u32,
@@ -160,6 +159,8 @@ pub struct ObsReport {
     /// since rendering is a pure function of the hashed fields.
     pub fingerprint: u64,
 }
+
+clamshell_sim::json_struct!(ObsReport { schema, metrics, events, recorded, dropped, fingerprint });
 
 impl ObsReport {
     /// Append this report's full JSONL section (header + events) to
@@ -247,6 +248,24 @@ mod tests {
         let jsonl = report.render_jsonl("unit", 1);
         assert_eq!(jsonl.lines().count(), 5);
         assert!(jsonl.starts_with("{\"v\":1,\"stream\":\"clamshell-trace\""));
+    }
+
+    #[test]
+    fn report_json_writes_each_event_as_its_trace_line() {
+        let mut obs = observer();
+        obs.record(
+            SimTime::from_millis(5),
+            TraceKind::Walkout { worker: 1, task: 2, assignment: 3 },
+        );
+        obs.record(SimTime::from_millis(9), TraceKind::OutageResume);
+        let report = obs.into_report();
+        let events = format!(
+            ",\"events\":[{},{}],\"recorded\":2,",
+            trace::render_event(&report.events[0]),
+            trace::render_event(&report.events[1])
+        );
+        let json = clamshell_sim::json::to_string(&report);
+        assert!(json.contains(&events), "{json}");
     }
 
     #[test]

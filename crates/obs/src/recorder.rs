@@ -9,14 +9,14 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
+use clamshell_sim::json::ToJson;
 
 use crate::name::{names, EventName, MetricName};
 
 /// One structured runner event. All ids are raw (`WorkerId.0`,
 /// `TaskId.0`, `AssignmentId.0`) so this crate stays dependency-light;
 /// all times are simulated milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A pooled worker left `Waiting` and started work; `waited_ms` is
     /// the retainer time paid for.
@@ -153,11 +153,19 @@ pub const KIND_COUNTERS: [MetricName; TraceKind::COUNT] = [
 ];
 
 /// A recorded event: global sequence number + sim-time millisecond stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub seq: u64,
     pub at_ms: u64,
     pub kind: TraceKind,
+}
+
+/// An event has one JSON form: its trace line
+/// ([`render_event_into`](crate::trace::render_event_into)).
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&crate::trace::render_event(self));
+    }
 }
 
 /// The bounded ring buffer.

@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 /// Bucket upper bounds (inclusive) for assignment-span latencies, in
 /// simulated milliseconds. One extra overflow bucket is appended.
 pub const SPAN_BOUNDS_MS: &[u64] = &[250, 500, 1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000];
@@ -60,20 +58,24 @@ impl Histogram {
 }
 
 /// Owned, serializable histogram state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     pub bounds: Vec<u64>,
     pub counts: Vec<u64>,
 }
 
+clamshell_sim::json_struct!(HistogramSnapshot { bounds, counts });
+
 /// A run's counters, gauges and histograms: what rides along on `RunReport`
 /// inside an [`ObsReport`](crate::ObsReport).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
+
+clamshell_sim::json_struct!(MetricsSnapshot { counters, gauges, histograms });
 
 #[cfg(test)]
 mod tests {

@@ -29,7 +29,7 @@
 //! Versioning contract: existing fields never change meaning or order;
 //! additions bump `TRACE_SCHEMA_VERSION`.
 
-use std::fmt::Write as _;
+use clamshell_sim::json;
 
 use crate::recorder::TraceEvent;
 #[cfg(doc)]
@@ -194,7 +194,9 @@ pub fn fingerprint_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) 
     fnv.finish()
 }
 
-/// Render the section header line (no trailing newline).
+/// Render the section header line (no trailing newline). Scenario names
+/// are plain slugs, but the name is escaped regardless, so the line is
+/// always well-formed JSON.
 pub fn render_header(
     scenario: &str,
     seed: u64,
@@ -206,41 +208,13 @@ pub fn render_header(
     format!(
         "{{\"v\":{},\"stream\":\"clamshell-trace\",\"scenario\":{},\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\"fingerprint\":\"{}\"}}",
         TRACE_SCHEMA_VERSION,
-        json_str(scenario),
+        json::to_string(scenario),
         seed,
         events,
         recorded,
         dropped,
         fingerprint_hex(fingerprint)
     )
-}
-
-/// Quote and escape a string as a JSON string literal: short escapes
-/// for `\n`, `\t` and `\r`, `\u00XX` for other control characters.
-/// Scenario names are plain slugs, but a renderer must never emit
-/// malformed JSON regardless.
-///
-/// ```
-/// assert_eq!(clamshell_obs::json_str("a\"b\n"), r#""a\"b\n""#);
-/// ```
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -250,9 +224,9 @@ mod tests {
 
     /// Minimal structural check for the flat (non-nested) objects this
     /// renderer emits: balanced outer braces, well-paired quotes, and
-    /// `"key":value` comma separation. The vendored serde_json has no
-    /// parser, so the CI schema validation uses python3; this keeps a
-    /// sanity net inside the crate too.
+    /// `"key":value` comma separation. The workspace has no JSON parser,
+    /// so the CI schema validation uses python3; this keeps a sanity net
+    /// inside the crate too.
     fn assert_flat_json_object(line: &str) {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         let body = &line[1..line.len() - 1];

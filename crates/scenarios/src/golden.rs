@@ -12,6 +12,7 @@
 //! ```
 
 use crate::report::CompactReport;
+use clamshell_sim::json;
 use std::path::{Path, PathBuf};
 
 /// The committed snapshot directory.
@@ -44,9 +45,7 @@ pub fn render_lines<S: AsRef<str>>(rows: impl IntoIterator<Item = S>) -> String 
 
 /// Render a scenario's per-seed snapshots as the committed file format.
 pub fn render(reports: &[CompactReport]) -> String {
-    render_lines(
-        reports.iter().map(|r| serde_json::to_string(r).expect("compact report serializes")),
-    )
+    render_lines(reports.iter().map(json::to_string))
 }
 
 /// Read a scenario's committed snapshot, if present.

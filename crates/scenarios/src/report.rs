@@ -10,10 +10,9 @@
 
 use clamshell_core::metrics::RunReport;
 use clamshell_obs::Fnv;
-use serde::Serialize;
 
 /// Scalar digest of one `(scenario, seed)` run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactReport {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -43,6 +42,12 @@ pub struct CompactReport {
     pub terminated: usize,
     /// FNV-1a fingerprint of the full task + assignment logs.
     pub fingerprint: u64,
+}
+
+clamshell_sim::json_struct! {
+    CompactReport { scenario, seed, tasks, batches, labels, labels_correct, total_ms,
+        cost_micro, workers_recruited, workers_evicted, workers_departed, assignments,
+        terminated, fingerprint }
 }
 
 impl CompactReport {
@@ -83,6 +88,7 @@ mod tests {
     use clamshell_core::runner::run_batched;
     use clamshell_core::task::TaskSpec;
     use clamshell_core::RunConfig;
+    use clamshell_sim::json;
     use clamshell_trace::Population;
 
     fn report(seed: u64) -> RunReport {
@@ -118,7 +124,7 @@ mod tests {
         // Golden snapshots must be trivially byte-stable: integer fields
         // only, so no float-formatting subtleties can creep in.
         let c = CompactReport::of("benign", 5, &report(5));
-        let json = serde_json::to_string(&c).unwrap();
+        let json = json::to_string(&c);
         assert!(!json.contains('.'), "no floats in golden snapshots: {json}");
         assert!(json.contains("\"fingerprint\""));
     }

@@ -24,6 +24,7 @@
 use crate::catalog;
 use crate::golden;
 use crate::suite;
+use clamshell_sim::json;
 use clamshell_stream::{run_stream_with, StreamCheckpoint, StreamConfig};
 use clamshell_sweep::job::Job;
 use clamshell_sweep::pool;
@@ -87,7 +88,7 @@ pub fn checkpoint_suite(threads: Option<usize>) -> Vec<StreamCell> {
 pub fn render_cells(cells: &[StreamCell]) -> String {
     golden::render_lines(cells.iter().flat_map(|cell| {
         cell.checkpoints.iter().map(move |c| {
-            let ckpt = serde_json::to_string(c).expect("checkpoint serializes");
+            let ckpt = json::to_string(c);
             format!(
                 "{{\"scenario\":\"{}\",\"seed\":{},\"ckpt\":{}}}",
                 cell.scenario, cell.seed, ckpt

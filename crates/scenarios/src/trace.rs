@@ -18,7 +18,7 @@ use crate::golden;
 use crate::suite;
 use clamshell_core::RunConfig;
 use clamshell_obs::{fingerprint_hex, MetricsSnapshot, ObsConfig};
-use serde::Serialize;
+use clamshell_sim::json;
 
 /// Golden-file key under `crates/scenarios/golden/`.
 pub const GOLDEN_NAME: &str = "trace_fingerprints";
@@ -28,7 +28,7 @@ pub const GOLDEN_NAME: &str = "trace_fingerprints";
 pub const TRACE_RING: usize = 1 << 16;
 
 /// Scalar digest of one instrumented `(scenario, seed)` trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRow {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -43,6 +43,8 @@ pub struct TraceRow {
     /// `fnv1a:<16 hex>` over the rendered JSONL event lines.
     pub fingerprint: String,
 }
+
+clamshell_sim::json_struct!(TraceRow { scenario, seed, events, recorded, dropped, fingerprint });
 
 /// One instrumented suite cell: the committed digest plus the full
 /// rendered JSONL (header + events), which the byte-identity tests
@@ -96,9 +98,9 @@ pub fn trace_suite(threads: Option<usize>) -> Vec<(&'static str, Vec<TraceCell>)
 /// Render the suite's digest rows as the committed file format: a JSON
 /// array with one object per line, in catalog × seed order.
 pub fn render_rows(rows: &[(&'static str, Vec<TraceCell>)]) -> String {
-    golden::render_lines(rows.iter().flat_map(|(_, cells)| {
-        cells.iter().map(|c| serde_json::to_string(&c.row).expect("trace row serializes"))
-    }))
+    golden::render_lines(
+        rows.iter().flat_map(|(_, cells)| cells.iter().map(|c| json::to_string(&c.row))),
+    )
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use clamshell_core::runner::run_batched;
 use clamshell_core::task::TaskSpec;
 use clamshell_core::RunConfig;
 use clamshell_scenarios::find;
+use clamshell_sim::json;
 use clamshell_trace::Population;
 
 fn base(seed: u64) -> RunConfig {
@@ -68,8 +69,8 @@ fn perfect_storm_is_deterministic_and_completes() {
     let b = run("perfect-storm", 6);
     assert_eq!(a.tasks.len(), 32);
     assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
+        json::to_string(&a),
+        json::to_string(&b),
         "five composed faults stay a pure function of the seed"
     );
     assert!(a.workers_departed > 0 || a.termination_rate() > 0.0);

@@ -21,10 +21,10 @@ use clamshell_core::{
 };
 use clamshell_obs::{fingerprint_hex, Fnv};
 use clamshell_scenarios::{catalog, golden, ScenarioDef};
+use clamshell_sim::json;
 use clamshell_sim::time::SimDuration;
 use clamshell_sweep::{pool, threads};
 use clamshell_trace::Population;
-use serde::Serialize;
 
 const GOLDEN_NAME: &str = "lifecycle_fingerprints";
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
@@ -80,7 +80,6 @@ fn inputs() -> [(&'static str, Base); 2] {
     [("", speed_config), ("@quorum3+quality", quality_config)]
 }
 
-#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     pool: String,
@@ -90,6 +89,11 @@ struct Row {
     workers_departed: u64,
     workers_evicted: u64,
     fingerprint: String,
+}
+
+clamshell_sim::json_struct! {
+    Row { scenario, pool, seed, reserve_expired, stale_retired, workers_departed,
+        workers_evicted, fingerprint }
 }
 
 /// One cell's inputs: base config and its label suffix, scenario, pool
@@ -115,7 +119,7 @@ fn run_cell((base, suffix, def, pool, config, seed): Cell) -> Row {
     }
     let report = runner.finish();
     let mut h = Fnv::new();
-    h.write(serde_json::to_string(&report).expect("report serializes").as_bytes());
+    h.write(json::to_string(&report).as_bytes());
     Row {
         scenario: def.name,
         pool: format!("{pool}{suffix}"),
@@ -145,7 +149,7 @@ fn lifecycle_suite(threads: usize) -> Vec<Row> {
 
 /// One JSON object per line, like the other golden files.
 fn render(rows: &[Row]) -> String {
-    golden::render_lines(rows.iter().map(|r| serde_json::to_string(r).expect("row serializes")))
+    golden::render_lines(rows.iter().map(json::to_string))
 }
 
 #[test]

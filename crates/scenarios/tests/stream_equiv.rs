@@ -16,6 +16,7 @@
 
 use clamshell_scenarios::suite;
 use clamshell_sim::arrivals::ArrivalCounter;
+use clamshell_sim::json;
 use clamshell_sim::SimTime;
 use clamshell_stream::{run_stream, run_stream_with, StreamConfig, StreamDigest};
 use proptest::prelude::*;
@@ -82,8 +83,8 @@ proptest! {
         } else {
             // Retained mode: the full report is byte-identical.
             prop_assert_eq!(
-                serde_json::to_string(&outcome.report).unwrap(),
-                serde_json::to_string(&batched).unwrap()
+                json::to_string(&outcome.report),
+                json::to_string(&batched)
             );
         }
 

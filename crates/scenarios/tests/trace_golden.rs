@@ -16,6 +16,7 @@
 
 use clamshell_obs::{fingerprint_hex, Fnv};
 use clamshell_scenarios::{golden, suite, trace};
+use clamshell_sim::json;
 
 /// Golden-file key for the rendered-bytes digests.
 const JSONL_GOLDEN: &str = "trace_jsonl_fnv";
@@ -74,7 +75,7 @@ fn trace_metrics_are_pinned() {
         .iter()
         .flat_map(|(name, cells)| {
             cells.iter().map(move |c| {
-                let json = serde_json::to_string(&c.metrics).expect("metrics serialize");
+                let json = json::to_string(&c.metrics);
                 let mut h = Fnv::new();
                 h.write(json.as_bytes());
                 format!(

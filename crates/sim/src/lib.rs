@@ -24,6 +24,8 @@
 //!   defer platform events through.
 //! * [`arrivals`] — deterministic open-loop task arrival schedules for
 //!   the streaming service mode (`clamshell-stream`).
+//! * [`json`] — the one JSON writer for measurement records, which the
+//!   golden digests and byte-level report comparisons go through.
 //!
 //! Everything in this crate is pure computation: no I/O, no wall-clock
 //! access, no global state.
@@ -34,6 +36,7 @@ pub mod arrivals;
 pub mod dist;
 pub mod events;
 pub mod faults;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;

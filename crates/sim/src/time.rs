@@ -9,16 +9,16 @@
 //! rest of the workspace needs. Conversions to floating-point seconds and
 //! minutes exist only at reporting boundaries.
 
-use serde::Serialize;
+use crate::json::ToJson;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A point in simulated time, in milliseconds since the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in milliseconds. Always non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -185,6 +185,19 @@ impl fmt::Display for SimDuration {
     }
 }
 
+// Times and durations write as their bare millisecond count.
+impl ToJson for SimTime {
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
+    }
+}
+
+impl ToJson for SimDuration {
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,5 +248,11 @@ mod tests {
     fn display_formats_seconds() {
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500s");
         assert_eq!(SimDuration::from_millis(250).to_string(), "0.250s");
+    }
+
+    #[test]
+    fn json_is_the_bare_millisecond_count() {
+        assert_eq!(crate::json::to_string(&SimTime::from_millis(1500)), "1500");
+        assert_eq!(crate::json::to_string(&SimDuration::MAX), "18446744073709551615");
     }
 }

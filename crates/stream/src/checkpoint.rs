@@ -8,7 +8,6 @@
 
 use clamshell_core::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use clamshell_obs::Fnv;
-use serde::Serialize;
 
 /// Three running FNV-1a fingerprints over the task, assignment, and
 /// batch logs of a run — one hasher per table, so rows can be folded
@@ -84,7 +83,7 @@ impl StreamDigest {
 /// thread counts, and retirement modes. `arrived`/`backlog` come from
 /// the open-loop arrival schedule and are the only rate-dependent
 /// fields; everything else is a pure function of `(RunConfig, seed)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// Snapshot sequence number, from 0.
     pub seq: u64,
@@ -130,12 +129,19 @@ pub struct StreamCheckpoint {
     pub obs_fingerprint: u64,
 }
 
+clamshell_sim::json_struct! {
+    StreamCheckpoint { seq, at_ms, arrived, admitted, completed, backlog, batches, labels,
+        labels_correct, assignments, terminated, cost_micro, recruited, evicted, departed,
+        digest_tasks, digest_assignments, digest_batches, obs_recorded, obs_fingerprint }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use clamshell_core::runner::run_batched;
     use clamshell_core::task::TaskSpec;
     use clamshell_core::RunConfig;
+    use clamshell_sim::json;
     use clamshell_trace::Population;
 
     fn report(seed: u64) -> RunReport {
@@ -207,7 +213,7 @@ mod tests {
             obs_recorded: 0,
             obs_fingerprint: 0,
         };
-        let json = serde_json::to_string(&c).unwrap();
+        let json = json::to_string(&c);
         assert!(!json.contains('.'), "no floats in checkpoint snapshots: {json}");
         assert!(json.contains("\"digest_tasks\":9"));
         assert!(json.contains("\"obs_fingerprint\":0"));

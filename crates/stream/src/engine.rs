@@ -281,6 +281,7 @@ mod tests {
     use super::*;
     use crate::source;
     use clamshell_core::runner::run_batched;
+    use clamshell_sim::json;
 
     fn cfg(seed: u64) -> RunConfig {
         RunConfig { pool_size: 5, ng: 2, seed, ..Default::default() }.with_straggler()
@@ -303,10 +304,7 @@ mod tests {
             5,
             &stream_cfg(false),
         );
-        assert_eq!(
-            serde_json::to_string(&streamed.report).unwrap(),
-            serde_json::to_string(&batched).unwrap()
-        );
+        assert_eq!(json::to_string(&streamed.report), json::to_string(&batched));
         assert_eq!(streamed.digest.values(), StreamDigest::of(&batched).values());
     }
 
@@ -387,10 +385,7 @@ mod tests {
                 &stream_cfg(retire),
             );
             let (with, _) = collected(11, 30, 4, &stream_cfg(retire));
-            assert_eq!(
-                serde_json::to_string(&plain.report).unwrap(),
-                serde_json::to_string(&with.report).unwrap()
-            );
+            assert_eq!(json::to_string(&plain.report), json::to_string(&with.report));
             assert_eq!(plain.digest.values(), with.digest.values());
             assert_eq!(plain.checkpoints, with.checkpoints);
         }
@@ -416,10 +411,7 @@ mod tests {
         };
         let (slow, slow_seen) = run(0.05);
         let (fast, fast_seen) = run(50.0);
-        assert_eq!(
-            serde_json::to_string(&slow.report).unwrap(),
-            serde_json::to_string(&fast.report).unwrap()
-        );
+        assert_eq!(json::to_string(&slow.report), json::to_string(&fast.report));
         assert_eq!(slow_seen.len(), fast_seen.len());
         for (s, f) in slow_seen.iter().zip(&fast_seen) {
             let mut f_masked = f.clone();

@@ -442,6 +442,7 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clamshell_sim::json;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n).map(|i| TaskSpec::new(vec![(i % 2) as u32; 2])).collect()
@@ -605,10 +606,7 @@ mod tests {
         for (s, row) in grouped.iter().enumerate() {
             assert_eq!(row.len(), 3);
             for (k, report) in row.iter().enumerate() {
-                assert_eq!(
-                    serde_json::to_string(report).unwrap(),
-                    serde_json::to_string(&flat[s * 3 + k]).unwrap()
-                );
+                assert_eq!(json::to_string(report), json::to_string(&flat[s * 3 + k]));
             }
         }
     }
@@ -618,7 +616,7 @@ mod tests {
         let grid = small_grid();
         let one = grid.try_run_all(Some(1)).expect("small grid is valid");
         let four = grid.try_run_all(Some(4)).expect("small grid is valid");
-        assert_eq!(serde_json::to_string(&one).unwrap(), serde_json::to_string(&four).unwrap());
+        assert_eq!(json::to_string(&one), json::to_string(&four));
     }
 
     #[test]

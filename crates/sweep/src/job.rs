@@ -49,6 +49,7 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clamshell_sim::json;
 
     #[test]
     fn job_run_matches_direct_run_batched() {
@@ -67,9 +68,6 @@ mod tests {
         };
         let via_job = job.run();
         let direct = run_batched(cfg, pop, specs, 3);
-        assert_eq!(
-            serde_json::to_string(&via_job).unwrap(),
-            serde_json::to_string(&direct).unwrap()
-        );
+        assert_eq!(json::to_string(&via_job), json::to_string(&direct));
     }
 }

@@ -1,6 +1,7 @@
 //! Reproducibility: the whole stack is a pure function of its seed.
 
 use clamshell::prelude::*;
+use clamshell::sim::json;
 
 fn specs(n: usize) -> Vec<TaskSpec> {
     (0..n).map(|i| TaskSpec::new(vec![(i % 2) as u32; 5])).collect()
@@ -106,9 +107,7 @@ fn sweeps_are_thread_count_invariant() {
     let one = grid().try_run_all(Some(1)).expect("scenario labels are unique");
     let four = grid().try_run_all(Some(4)).expect("scenario labels are unique");
     assert_eq!(one.len(), 12);
-    let bytes = |reports: &[RunReport]| {
-        reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>()
-    };
+    let bytes = |reports: &[RunReport]| reports.iter().map(json::to_string).collect::<Vec<_>>();
     assert_eq!(bytes(&one), bytes(&four));
 
     // Aggregate tables, byte for byte.
